@@ -6,10 +6,11 @@ Everything is driven by the implicit support-height function
     v_t(a) = the unique b in (0, sqrt(t)] with sum_j w_j/((a-x_j)^2 + b^2) = 1/t,
              or 0 when sum_j w_j/(a-x_j)^2 <= 1/t,
 
-found by bisection (the map b -> sum is strictly decreasing, and the sum is
-bounded by 1/b^2 so the root never exceeds sqrt(t)). The support of the Brown
-measure is the vertical strip |b| < v_t(a); inside it the planar density is
-constant in b and equals
+found by Newton's method in s = b^2, where the reciprocal of the sum is
+increasing and concave, so iterates started below the root climb to it (the
+sum is bounded by 1/b^2, so the root never exceeds sqrt(t)). The support of
+the Brown measure is the vertical strip |b| < v_t(a); inside it the planar
+density is constant in b and equals
 
     w_t(a) = (1/(pi t)) * (1 - (t/2) * dI2/da),   I2(a) = sum_j w_j x_j / D_j,
 
@@ -26,77 +27,60 @@ of that law at psi_t(a) is v_t(a)/(pi t), and w_t = psi_t'/(2 pi t).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AtomDivision,
-    NonpositiveTime,
-    OutsideSupport,
-    ValidationError,
-)
+from ._boundary import check_time, map_chunks, solve_blocked, support_intervals
+from .errors import AtomDivision, OutsideSupport, ValidationError
 from .measures import SpectralMeasure, cauchy_transform
 from .quadrature import integrate_adaptive
 
-#: residual target for the v_t bisection, relative to 1/t
+#: residual target for the v_t solve, relative to 1/t
 V_RESIDUAL_REL = 1e-12
-#: bisection iteration cap (bracket [0, sqrt(t)] collapses long before this)
-BISECT_MAX_ITER = 200
-
-
-def _check_time(t):
-    if not t > 0:
-        raise NonpositiveTime(f"t must be > 0, got {t}")
 
 
 def _sum_inv_sq(mu, a):
     """sum_j w_j / (a - x_j)^2, read as +inf when a hits an atom."""
     d = np.asarray(a, float)[:, None] - mu.locations[None, :]
-    with np.errstate(divide="ignore"):
-        return (mu.weights[None, :] / (d * d)).sum(axis=1)
-
-
-def _sum_kernel(mu, a, v):
-    """sum_j w_j / ((a - x_j)^2 + v^2), vectorized over parallel a, v arrays."""
-    d = a[:, None] - mu.locations[None, :]
-    return (mu.weights[None, :] / (d * d + (v * v)[:, None])).sum(axis=1)
+    np.multiply(d, d, out=d)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.divide(mu.weights[None, :], d, out=d).sum(axis=1)
 
 
 def v_t_array(mu: SpectralMeasure, t: float, a) -> np.ndarray:
-    """v_t at every point of ``a`` (vectorized bisection on [0, sqrt(t)])."""
+    """v_t at every point of ``a``: Newton on 1/S(s) = t in s = v^2.
+
+    S(s) = sum_j w_j/(d_j^2 + s) is decreasing and convex, 1/S is increasing
+    and concave, so Newton started below the root climbs to it without
+    overshooting. The start s_0 = max(0, max_j(t w_j - d_j^2)) is below the
+    root (each term alone is at most 1/t there), exact for one atom and
+    positive at an atom. The root never exceeds t since S(s) <= 1/s.
+    """
     mu.require_real("v_t")
-    _check_time(t)
+    check_time(t)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     target = 1.0 / t
     inside = _sum_inv_sq(mu, a) > target
     v = np.zeros_like(a)
-    if not np.any(inside):
-        return v
     ai = a[inside]
-    lo = np.zeros_like(ai)
-    hi = np.full_like(ai, np.sqrt(t))
-    root = np.empty_like(ai)
-    done = np.zeros(ai.shape, dtype=bool)
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        s = _sum_kernel(mu, ai, mid)
-        # freeze each point at the first iterate meeting the residual target;
-        # points are independent, so chunked/parallel runs agree bitwise
-        hit = ~done & (np.abs(s - target) <= V_RESIDUAL_REL * target)
-        root[hit] = mid[hit]
-        done |= hit
-        if np.all(done):
-            break
-        above = s > target  # root lies above mid
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-        if np.max(np.where(done, 0.0, hi - lo)) <= 1e-18 * np.sqrt(t):
-            break
-    root[~done] = 0.5 * (lo[~done] + hi[~done])
-    v[inside] = root
+    wj = mu.weights[None, :]
+
+    def evaluate(s, d2):
+        D = d2 + s[:, None]
+        inv = wj / D
+        S = inv.sum(axis=1)
+        B = np.divide(inv, D, out=D).sum(axis=1)
+        # s > 0: a point inside the strip never freezes at v = 0
+        done = (np.abs(S - target) <= V_RESIDUAL_REL * target) & (s > 0.0)
+        return done, S > target, s + t * S * (S - target) / B
+
+    def block(sl):
+        d2 = (ai[sl, None] - mu.locations[None, :]) ** 2
+        s0 = np.maximum(0.0, np.max(t * wj - d2, axis=1))
+        return s0, np.full_like(s0, t), s0, lambda s: evaluate(s, d2)
+
+    v[inside] = np.sqrt(solve_blocked(len(ai), block))
     return v
 
 
@@ -107,13 +91,13 @@ def v_t(mu: SpectralMeasure, t: float, a: float) -> float:
 
 def subordination_H(mu: SpectralMeasure, t: float, z: complex) -> complex:
     """H_t(z) = z + t G(z), the left inverse of the subordination map."""
-    _check_time(t)
+    check_time(t)
     return complex(z) + t * cauchy_transform(mu, z)
 
 
 def psi_t_array(mu, t, a, v=None):
     mu.require_real("psi_t")
-    _check_time(t)
+    check_time(t)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if v is None:
         v = v_t_array(mu, t, a)
@@ -131,7 +115,7 @@ def psi_t(mu: SpectralMeasure, t: float, a: float) -> float:
 
 def density_w_array(mu, t, a, v=None):
     mu.require_real("density_w")
-    _check_time(t)
+    check_time(t)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if v is None:
         v = v_t_array(mu, t, a)
@@ -187,90 +171,30 @@ class AdditiveProfile:
         return iter(zip(self.grid, self.v, self.w, self.psi))
 
 
-def _refine_support_endpoint(mu, t, a_inside, a_outside):
-    """Bisect the sign of sum_j w_j/(a-x_j)^2 - 1/t between bracket points.
-
-    Returns the outside-side iterate: there the computed v_t is exactly 0,
-    and the true endpoint is inside the collapsed bracket.
-    """
-    target = 1.0 / t
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (a_inside + a_outside)
-        if mid == a_inside or mid == a_outside:
-            break
-        if _sum_inv_sq(mu, np.array([mid]))[0] > target:
-            a_inside = mid
-        else:
-            a_outside = mid
-    return a_outside
-
-
-def _support_intervals(mu, t, grid, inside):
-    intervals = []
-    n = len(grid)
-    i = 0
-    while i < n:
-        if not inside[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and inside[j + 1]:
-            j += 1
-        # left endpoint: refine against the previous grid point if any
-        if i > 0:
-            lo = _refine_support_endpoint(mu, t, grid[i], grid[i - 1])
-        else:
-            lo = grid[0]  # support may continue past the grid
-        if j + 1 < n:
-            hi = _refine_support_endpoint(mu, t, grid[j], grid[j + 1])
-        else:
-            hi = grid[-1]
-        intervals.append((float(lo), float(hi)))
-        i = j + 1
-    return tuple(intervals)
-
-
-def _default_workers():
-    try:
-        return max(1, int(os.environ.get("FREEBROWN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def additive_profile(mu: SpectralMeasure, t: float, grid, workers=None) -> AdditiveProfile:
     """Evaluate the profile on a strictly increasing grid.
 
     Support intervals are the maximal grid runs with v > 0, their endpoints
     refined by bisection on the exactly computable indicator
-    sum_j w_j/(a-x_j)^2 - 1/t (a run touching the grid edge keeps the edge).
+    sum_j w_j/(a-x_j)^2 - 1/t (a run touching the grid edge keeps the edge),
+    plus the components around atoms that fall between grid points.
     Rows are computed in deterministic grid order; ``workers`` (default from
     FREEBROWN_THREADS) chunks the grid across threads.
     """
     mu.require_real("additive_profile")
-    _check_time(t)
+    check_time(t)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0):
         raise ValidationError("grid must be strictly increasing with >= 2 points")
 
-    workers = _default_workers() if workers is None else max(1, int(workers))
-
     def rows_for(chunk):
         v = v_t_array(mu, t, chunk)
-        w = density_w_array(mu, t, chunk, v)
-        psi = psi_t_array(mu, t, chunk, v)
-        return v, w, psi
+        return v, density_w_array(mu, t, chunk, v), psi_t_array(mu, t, chunk, v)
 
-    if workers == 1 or len(grid) < 4 * workers:
-        v, w, psi = rows_for(grid)
-    else:
-        chunks = np.array_split(grid, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(rows_for, chunks))
-        v = np.concatenate([p[0] for p in parts])
-        w = np.concatenate([p[1] for p in parts])
-        psi = np.concatenate([p[2] for p in parts])
-
-    intervals = _support_intervals(mu, t, grid, v > 0.0)
+    v, w, psi = map_chunks(rows_for, grid, workers)
+    intervals = support_intervals(
+        grid, v > 0.0, lambda a: _sum_inv_sq(mu, a) > 1.0 / t, mu.locations
+    )
     return AdditiveProfile(mu, t, grid, v, w, psi, intervals)
 
 

@@ -25,6 +25,8 @@ from .measures import load_measure
 
 DEFAULT_ADDITIVE_POINTS = 801
 DEFAULT_N_THETA = 1441
+#: a density run whose total mass misses 1 by more than this fails
+MASS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,15 @@ def _parse_grid(spec, mu, t):
     if n < 16 or not hi > lo:
         raise ValidationError("grid needs hi > lo and n >= 16")
     return np.linspace(lo, hi, n)
+
+
+def _checked_mass(mass):
+    if not abs(mass - 1.0) <= MASS_TOL:
+        raise NumericalError(
+            f"mass={mass:.9f} misses 1 by more than {MASS_TOL:g}: "
+            "the support may extend past the grid"
+        )
+    return mass
 
 
 def _write_json(path, payload):
@@ -110,13 +121,13 @@ def _run_additive(config: RunConfig):
     grid = _parse_grid(config.grid, mu, config.t)
     profile = additive.additive_profile(mu, config.t, grid)
     if config.command == "additive-density":
+        mass = _checked_mass(additive.total_mass(profile))
         _write_rows(config.out, config.format, ["a", "v", "w", "psi"], iter(profile))
         _write_json(f"{config.out}.intervals.json", additive.support_sidecar(profile))
-        mass = additive.total_mass(profile)
         max_w = float(np.max(profile.w)) if len(profile.w) else 0.0
         bound = 2.0 / (np.pi * config.t)
         print(
-            f"additive-density: mass={mass:.9f} (target 1+-1e-06) "
+            f"additive-density: mass={mass:.9f} (target 1+-{MASS_TOL:g}) "
             f"max_w={max_w:.6g} bound={bound:.6g} "
             f"intervals={len(profile.support_intervals)}"
         )
@@ -140,16 +151,16 @@ def _run_mult(config: RunConfig):
     n_theta = config.n_theta or DEFAULT_N_THETA
     profile = multiplicative.multiplicative_profile(mu, config.t, n_theta)
     if config.command == "mult-density":
+        mass = _checked_mass(multiplicative.total_mass(profile))
         _write_rows(
             config.out, config.format,
             ["theta", "r", "phi", "w", "arg_density"], iter(profile),
         )
         _write_json(f"{config.out}.arcs.json", multiplicative.arcs_sidecar(profile))
-        mass = multiplicative.total_mass(profile)
         max_w = float(np.max(profile.w)) if len(profile.w) else 0.0
         bound = 1.0 / (np.pi * config.t)
         print(
-            f"mult-density: mass={mass:.9f} (target 1+-1e-06) "
+            f"mult-density: mass={mass:.9f} (target 1+-{MASS_TOL:g}) "
             f"max_w={max_w:.6g} bound={bound:.6g} arcs={len(profile.u_components)}"
         )
     else:  # mult-law

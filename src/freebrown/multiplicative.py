@@ -13,7 +13,9 @@ The boundary radius function is the implicit root of
 
 against 1/t: r_t(theta) is the unique root in (0,1) when the circle limit
 f(1-, theta) exceeds 1/t, else 1 (f is strictly increasing in r on (0,1) and
-satisfies f(r) = f(1/r)). Inside the support annulus sector
+satisfies f(r) = f(1/r)). It is found by Newton's method on 1/f = t in
+x = -log r, which is exact for Haar, with a bisection step whenever the
+Newton step leaves the bracket. Inside the support annulus sector
 {r_t < r < 1/r_t} the planar density in polar coordinates is w_t(theta)/r^2
 with
 
@@ -31,35 +33,21 @@ accurate as r -> 1.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidRadius,
-    NonpositiveTime,
-    OutsideU,
-    PoleAtAtom,
-    ValidationError,
-    ZeroLambda,
-)
+from ._boundary import check_time, map_chunks, solve_blocked, support_intervals
+from .errors import InvalidRadius, OutsideU, PoleAtAtom, ValidationError, ZeroLambda
 from .measures import SpectralMeasure, reflect_circle_measure
 from .quadrature import integrate_adaptive
 
-#: residual target for the r_t bisection, relative to 1/t
+#: residual target for the r_t solve, relative to 1/t
 R_RESIDUAL_REL = 1e-12
-BISECT_MAX_ITER = 200
-#: bisection steps per arc endpoint refinement
-ARC_REFINE_STEPS = 60
 #: upper bracket: roots are separated from 1 by the f(1-,theta) > 1/t margin
 R_BRACKET_HI = 1.0 - 1e-15
-
-
-def _check_time(t):
-    if not t > 0:
-        raise NonpositiveTime(f"t must be > 0, got {t}")
+#: halvings of the lower bracket from 1/2 (f(r) ~ 1/(-2 log r) as r -> 0)
+R_BRACKET_HALVINGS = 200
 
 
 def _g(r):
@@ -87,12 +75,6 @@ def _den(r, u):
     return (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * u) ** 2
 
 
-def _kernel_sum(mu_bar, r, thetas):
-    """sum_j w_j / D_j(r, theta + beta_j); r and thetas parallel arrays."""
-    u = thetas[:, None] + mu_bar.locations[None, :]
-    return (mu_bar.weights[None, :] / _den(r[:, None], u)).sum(axis=1)
-
-
 def f_value(mu_bar: SpectralMeasure, r: float, theta: float) -> float:
     """f(r, theta); canonicalized through f(r) = f(1/r) for r > 1.
 
@@ -105,8 +87,8 @@ def f_value(mu_bar: SpectralMeasure, r: float, theta: float) -> float:
         r = 1.0 / r
     if mu_bar.is_haar:
         return float(1.0 / (-2.0 * np.log(r)))
-    s = _kernel_sum(mu_bar, np.array([r]), np.array([float(theta)]))[0]
-    return float(_g(r) * s)
+    u = float(theta) + mu_bar.locations
+    return float(_g(r) * np.sum(mu_bar.weights / _den(r, u)))
 
 
 def f_limit_at_circle(mu_bar: SpectralMeasure, theta) -> np.ndarray:
@@ -140,48 +122,55 @@ def T_of_lambda(mu_bar: SpectralMeasure, lam: complex) -> float:
 
 
 def r_t_array(mu_bar: SpectralMeasure, t: float, thetas) -> np.ndarray:
-    """Boundary radius r_t at each angle (vectorized bisection in (0,1))."""
+    """Boundary radius r_t at each angle: bracketed Newton on 1/f = t in
+    x = -log r, where 1/f = 2x for Haar, started from the Haar root t/2.
+
+    The iterate is x, and f is formed from x (1 - r = -expm1(-x)), so the
+    residual target is met even where 1 - r is too small for the float r
+    to carry it; r = e^{-x} is then its correct rounding. The bracket runs
+    from R_BRACKET_HI down to the first halving of r = 1/2 with f < 1/t.
+    """
     mu_bar.require_circle("r_t")
-    _check_time(t)
+    check_time(t)
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     if mu_bar.is_haar:
         return np.full_like(th, np.exp(-0.5 * t))
     target = 1.0 / t
     inside = f_limit_at_circle(mu_bar, th) > target
     r = np.ones_like(th)
-    if not np.any(inside):
-        return r
     thi = th[inside]
+    wj = mu_bar.weights[None, :]
 
-    def f_at(rr):
-        return _g(rr) * _kernel_sum(mu_bar, rr, thi)
+    def evaluate(x, q4):
+        rr = np.exp(-x)
+        c = -np.expm1(-x)
+        D = rr[:, None] * q4
+        D += (c * c)[:, None]
+        inv = wj / D
+        S1 = inv.sum(axis=1)
+        g = c * (1.0 + rr) / (2.0 * x)
+        f = g * S1
+        T = np.divide(inv, D, out=D)
+        S_D2 = T.sum(axis=1)
+        S_qD2 = np.multiply(T, q4, out=T).sum(axis=1)
+        # df/dx, with dg/dx = (r^2 - g)/x and dD/dx = r (2 (1-r) - q4)
+        f_x = (rr * rr - g) / x * S1 - g * rr * (2.0 * c * S_D2 - S_qD2)
+        done = np.abs(f - target) <= R_RESIDUAL_REL * target
+        return done, f > target, x + f * (1.0 - t * f) / f_x
 
-    lo = np.full_like(thi, 0.5)
-    for _ in range(BISECT_MAX_ITER):
-        bad = f_at(lo) >= target
-        if not np.any(bad):
-            break
-        lo = np.where(bad, 0.5 * lo, lo)
-    hi = np.full_like(thi, R_BRACKET_HI)
-    root = np.empty_like(thi)
-    done = np.zeros(thi.shape, dtype=bool)
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        s = f_at(mid)
-        # per-point freeze at the first residual-verified iterate keeps
-        # chunked/parallel evaluation bitwise deterministic
-        hit = ~done & (np.abs(s - target) <= R_RESIDUAL_REL * target)
-        root[hit] = mid[hit]
-        done |= hit
-        if np.all(done):
-            break
-        below = s < target  # f increasing: root above mid
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(np.where(done, 0.0, hi - lo)) <= 1e-18:
-            break
-    root[~done] = 0.5 * (lo[~done] + hi[~done])
-    r[inside] = root
+    def block(sl):
+        u = thi[sl, None] + mu_bar.locations[None, :]
+        q4 = 4.0 * np.sin(0.5 * u) ** 2
+        hi = np.full(len(q4), np.log(2.0))
+        for _ in range(R_BRACKET_HALVINGS):
+            bad = evaluate(hi, q4)[1]
+            if not np.any(bad):
+                break
+            hi = np.where(bad, hi + np.log(2.0), hi)
+        lo = np.full_like(hi, -np.log(R_BRACKET_HI))
+        return lo, hi, np.clip(0.5 * t, lo, hi), lambda x: evaluate(x, q4)
+
+    r[inside] = np.exp(-solve_blocked(len(thi), block))
     return r
 
 
@@ -194,7 +183,7 @@ def phi_map(mu_bar: SpectralMeasure, t: float, z: complex) -> complex:
     Phi(z) = z exp((t/2) sum_j w_j (1 + xi_j z)/(1 - xi_j z)), xi_j = e^{i beta_j}.
     """
     mu_bar.require_circle("phi_map")
-    _check_time(t)
+    check_time(t)
     z = complex(z)
     if mu_bar.is_haar:
         return z * np.exp(0.5 * t)
@@ -260,31 +249,28 @@ def phi_of_theta_array(mu_bar: SpectralMeasure, t: float, thetas) -> np.ndarray:
     return _phi_only(mu_bar, t, th, r_t_array(mu_bar, t, th))
 
 
-def m_t(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
-    """m_t(theta) = 2 sum_j w_j r sin u_j / D_j at r = r_t(theta)."""
+def _row_at(mu_bar, t, theta):
+    """(r, phi, w, m) at one angle of U_t."""
     r = r_t(mu_bar, t, theta)
     if r >= 1.0:
         raise OutsideU(f"theta={theta} not in U_t")
-    _, _, m = _angle_rows(mu_bar, t, np.array([float(theta)]), np.array([r]))
-    return float(m[0])
+    rows = _angle_rows(mu_bar, t, np.array([float(theta)]), np.array([r]))
+    return (r,) + tuple(float(z[0]) for z in rows)
+
+
+def m_t(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
+    """m_t(theta) = 2 sum_j w_j r sin u_j / D_j at r = r_t(theta)."""
+    return _row_at(mu_bar, t, theta)[3]
 
 
 def phi_of_theta(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
     """Continuous boundary angle phi(theta) = theta + (t/2) m_t(theta)."""
-    r = r_t(mu_bar, t, theta)
-    if r >= 1.0:
-        raise OutsideU(f"theta={theta} not in U_t")
-    phi, _, _ = _angle_rows(mu_bar, t, np.array([float(theta)]), np.array([r]))
-    return float(phi[0])
+    return _row_at(mu_bar, t, theta)[1]
 
 
 def density_w_theta(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
     """Angular density w_t(theta) = (1/4pi)(2/t + dm_t/dtheta)."""
-    r = r_t(mu_bar, t, theta)
-    if r >= 1.0:
-        raise OutsideU(f"theta={theta} not in U_t")
-    _, w, _ = _angle_rows(mu_bar, t, np.array([float(theta)]), np.array([r]))
-    return float(w[0])
+    return _row_at(mu_bar, t, theta)[2]
 
 
 # -- profiles ----------------------------------------------------------------
@@ -315,76 +301,6 @@ class MultiplicativeProfile:
         return iter(zip(self.thetas, self.r, self.phi, self.w, self.arg_density))
 
 
-def _refine_arc_endpoint(mu_bar, t, th_inside, th_outside):
-    """ARC_REFINE_STEPS bisection steps on f(1-, theta) - 1/t."""
-    target = 1.0 / t
-    for _ in range(ARC_REFINE_STEPS):
-        mid = 0.5 * (th_inside + th_outside)
-        if mid == th_inside or mid == th_outside:
-            break
-        if f_limit_at_circle(mu_bar, mid)[0] > target:
-            th_inside = mid
-        else:
-            th_outside = mid
-    return th_outside
-
-
-def _u_components(mu_bar, t, thetas, inside):
-    """Maximal arcs of {f(1-, theta) > 1/t} within (-pi, pi].
-
-    A component of U_t crossing the cut at +-pi is reported as two arcs
-    meeting at the cut. When a run ends at the grid angle pi with its true
-    endpoint just beyond, the wrapped sliver (-pi, endpoint - 2pi) is emitted
-    too, so arc integrals cover all of U_t.
-    """
-    if np.all(inside):
-        return ((-np.pi, np.pi),)
-    if not np.any(inside):
-        return ()
-    n = len(thetas)
-    step = 2.0 * np.pi / n
-    wraps = bool(inside[0] and inside[-1])
-    comps = []
-    sliver = None
-    i = 0
-    while i < n:
-        if not inside[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and inside[j + 1]:
-            j += 1
-        if i > 0:
-            lo = _refine_arc_endpoint(mu_bar, t, thetas[i], thetas[i - 1])
-        elif wraps:
-            lo = -np.pi
-        else:
-            # -pi (== the last grid angle pi) is a genuine outside bracket
-            lo = max(-np.pi, _refine_arc_endpoint(mu_bar, t, thetas[0], -np.pi))
-        if j + 1 < n:
-            hi = _refine_arc_endpoint(mu_bar, t, thetas[j], thetas[j + 1])
-        elif wraps:
-            hi = np.pi
-        else:
-            # run ends at the grid angle pi; endpoint sits in (pi, pi + step)
-            end = _refine_arc_endpoint(mu_bar, t, thetas[-1], thetas[-1] + step)
-            hi = np.pi
-            if end - 2.0 * np.pi > -np.pi:
-                sliver = (-np.pi, float(end - 2.0 * np.pi))
-        comps.append((float(lo), float(hi)))
-        i = j + 1
-    if sliver is not None:
-        comps.insert(0, sliver)
-    return tuple(comps)
-
-
-def _default_workers():
-    try:
-        return max(1, int(os.environ.get("FREEBROWN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def multiplicative_profile(
     mu: SpectralMeasure, t: float, n_theta: int, workers=None
 ) -> MultiplicativeProfile:
@@ -394,13 +310,11 @@ def multiplicative_profile(
     internally and the support region is {r_t(theta) < r < 1/r_t(theta)}.
     """
     mu.require_circle("multiplicative_profile")
-    _check_time(t)
+    check_time(t)
     if n_theta < 16:
         raise ValidationError("n_theta must be >= 16")
     mu_bar = reflect_circle_measure(mu)
     thetas = np.linspace(-np.pi, np.pi, n_theta + 1)[1:]
-
-    workers = _default_workers() if workers is None else max(1, int(workers))
 
     def rows_for(chunk):
         r = r_t_array(mu_bar, t, chunk)
@@ -408,27 +322,25 @@ def multiplicative_profile(
         w = np.zeros_like(chunk)
         hit = r < 1.0
         if np.any(hit):
-            phi_in, w_in, _ = _angle_rows(mu_bar, t, chunk[hit], r[hit])
-            phi[hit] = phi_in
-            w[hit] = w_in
+            phi[hit], w[hit], _ = _angle_rows(mu_bar, t, chunk[hit], r[hit])
         if np.any(~hit):
             # boundary continuation of the angle map on the unit circle
             phi[~hit] = _phi_only(mu_bar, t, chunk[~hit], r[~hit])
         return r, phi, w
 
-    if workers == 1 or n_theta < 4 * workers:
-        r, phi, w = rows_for(thetas)
-    else:
-        chunks = np.array_split(thetas, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(rows_for, chunks))
-        r = np.concatenate([p[0] for p in parts])
-        phi = np.concatenate([p[1] for p in parts])
-        w = np.concatenate([p[2] for p in parts])
-
+    r, phi, w = map_chunks(rows_for, thetas, workers)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(r < 1.0, -2.0 * np.log(r) * w, 0.0)
-    comps = _u_components(mu_bar, t, thetas, r < 1.0)
+    # runs on the grid extended by -pi, the grid angle pi seen across the
+    # cut: a component crossing the cut gives two arcs meeting at +-pi, and
+    # a run ending at pi whose endpoint lies just beyond gives the sliver
+    # (-pi, endpoint - 2 pi); the unitary's atom angles, the poles of
+    # f(1-, theta), seed the arcs that hold no grid angle
+    comps = support_intervals(
+        np.concatenate(([-np.pi], thetas)), np.concatenate(([r[-1] < 1.0], r < 1.0)),
+        lambda th: f_limit_at_circle(mu_bar, th) > 1.0 / t,
+        mu.locations,
+    )
     return MultiplicativeProfile(mu, mu_bar, t, thetas, r, phi, w, a, comps)
 
 
@@ -436,12 +348,8 @@ def mult_law_density(mu: SpectralMeasure, t: float, theta: float):
     """Point (phi(theta), -log r_t(theta)/(pi t)) on the law of the unitary
     flow; defined for theta in U_t."""
     mu.require_circle("mult_law_density")
-    mu_bar = reflect_circle_measure(mu)
-    r = r_t(mu_bar, t, theta)
-    if r >= 1.0:
-        raise OutsideU(f"theta={theta} not in U_t")
-    phi, _, _ = _angle_rows(mu_bar, t, np.array([float(theta)]), np.array([r]))
-    return float(phi[0]), float(-np.log(r) / (np.pi * t))
+    r, phi, _, _ = _row_at(reflect_circle_measure(mu), t, theta)
+    return phi, float(-np.log(r) / (np.pi * t))
 
 
 def arg_marginal(profile: MultiplicativeProfile) -> np.ndarray:
@@ -450,8 +358,6 @@ def arg_marginal(profile: MultiplicativeProfile) -> np.ndarray:
 
 
 def _mass_integrand(mu_bar, t):
-    target = 1.0 / t
-
     def f(th):
         r = r_t_array(mu_bar, t, th)
         out = np.zeros_like(th)
@@ -492,14 +398,14 @@ class AnnulusCheck:
 def annulus_radial_cdf(t: float, r: float) -> float:
     """Closed-form radial CDF 1 + S^{-1}(r^-2) = 1/2 + log(r)/t on the
     annulus [e^{-t/2}, e^{t/2}], clipped to [0, 1] outside."""
-    _check_time(t)
+    check_time(t)
     return float(np.clip(0.5 + np.log(r) / t, 0.0, 1.0))
 
 
 def haar_annulus_check(t: float, n_radii: int = 33) -> AnnulusCheck:
     """Compare the Haagerup-Larsen CDF against the numeric radial integral
     of the annulus density 1/(2 pi t rho^2) (area element 2 pi rho drho)."""
-    _check_time(t)
+    check_time(t)
     r_in, r_out = np.exp(-0.5 * t), np.exp(0.5 * t)
     radii = np.linspace(r_in, r_out, n_radii)
     cdf_s = np.array([annulus_radial_cdf(t, r) for r in radii])

@@ -14,6 +14,7 @@ Sampling is bitwise deterministic per seed (numpy default_rng).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -286,10 +287,20 @@ def spectrum_metadata(spectrum: EmpiricalSpectrum) -> dict:
     }
 
 
-def load_spectrum(csv_path, meta: dict) -> EmpiricalSpectrum:
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
-    eig = data[:, 0] + 1j * data[:, 1]
+def load_spectrum(path, meta: dict) -> EmpiricalSpectrum:
+    """Eigenvalues written by ``simulate``: CSV rows re,im, or the JSON list
+    of {"re", "im"} objects of ``--format json``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        if text.lstrip().startswith("["):
+            data = [(row["re"], row["im"]) for row in json.loads(text)]
+        else:
+            data = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1)
+        data = np.atleast_2d(np.asarray(data, dtype=float))
+        eig = data[:, 0] + 1j * data[:, 1]
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        raise ValidationError(f"unreadable spectrum file {path}: {exc}") from exc
     return EmpiricalSpectrum(
         eig,
         int(meta["n"]),

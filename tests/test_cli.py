@@ -199,3 +199,33 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "error" in json.loads(capsys.readouterr().err.strip())
+
+
+def test_mass_gate_exit_code(tmp_path, capsys):
+    """A grid that cuts the support loses mass: exit 3, not a summary."""
+    mpath = write_measure(tmp_path, DELTA0, "d0.json")
+    argv = ["additive", "density", "--measure", mpath, "--t", "1", "--out"]
+    assert main(argv + [str(tmp_path / "cut.csv"), "--grid=-0.5:0.5:101"]) == 3
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert "past the grid" in err
+    assert main(argv + [str(tmp_path / "full.csv")]) == 0
+    assert "mass=1.000000" in capsys.readouterr().out
+
+
+def test_compare_reads_json_spectrum(tmp_path, capsys):
+    mpath = write_measure(tmp_path, HAAR, "h.json")
+    eig = tmp_path / "s.json"
+    assert main(
+        ["simulate", "mult", "--measure", mpath, "--t", "1", "--n", "50",
+         "--steps", "100", "--seed", "1", "--format", "json", "--out", str(eig)]
+    ) == 0
+    assert main(
+        ["compare", "--spectrum", str(eig), "--measure", mpath,
+         "--marginal", "radius"]
+    ) == 0
+    assert "distance=" in capsys.readouterr().out
+    eig.write_text("[{\"re\": 1.0}]")
+    assert main(
+        ["compare", "--spectrum", str(eig), "--measure", mpath,
+         "--marginal", "radius"]
+    ) == 2
