@@ -18,8 +18,9 @@ import pathlib
 import numpy as np
 
 from freebrown.additive import additive_profile, psi_t_array, v_t_array
+from freebrown.cli import write_rows
 from freebrown.measures import SpectralMeasure
-from freebrown.rmt import sample_additive, write_spectrum_csv
+from freebrown.rmt import sample_additive
 
 
 def main():
@@ -38,30 +39,22 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     spectrum = sample_additive(mu, args.n, args.t, args.seed)
-    write_spectrum_csv(spectrum, out / "eigenvalues.csv")
+    eig = spectrum.eigenvalues
+    write_rows(out / "eigenvalues.csv", "csv", ["re", "im"], [eig.real, eig.imag])
 
     half = float(np.max(np.abs(mu.locations))) + 2.0 * np.sqrt(args.t)
     grid = np.linspace(-half, half, 801)
     prof = additive_profile(mu, args.t, grid)
-    with open(out / "support_curve.csv", "w", encoding="utf-8") as fh:
-        fh.write("a,v,minus_v\n")
-        for a, v in zip(prof.grid, prof.v):
-            fh.write(f"{a:.17g},{v:.17g},{-v:.17g}\n")
+    write_rows(out / "support_curve.csv", "csv", ["a", "v", "minus_v"],
+               [prof.grid, prof.v, -prof.v])
 
     # push the eigenvalues to the real line: Psi(a+ib) = psi_t(a)
-    re = spectrum.eigenvalues.real
-    v = v_t_array(mu, args.t, re)
-    pushed = psi_t_array(mu, args.t, re, v)
-    with open(out / "pushforward.csv", "w", encoding="utf-8") as fh:
-        fh.write("value\n")
-        for y in pushed:
-            fh.write(f"{y:.17g}\n")
+    pushed = psi_t_array(mu, args.t, eig.real, v_t_array(mu, args.t, eig.real))
+    write_rows(out / "pushforward.csv", "csv", ["value"], [pushed])
 
     hit = prof.v > 0
-    with open(out / "law.csv", "w", encoding="utf-8") as fh:
-        fh.write("y,p\n")
-        for y, p in zip(prof.psi[hit], prof.v[hit] / (np.pi * args.t)):
-            fh.write(f"{y:.17g},{p:.17g}\n")
+    write_rows(out / "law.csv", "csv", ["y", "p"],
+               [prof.psi[hit], prof.v[hit] / (np.pi * args.t)])
 
     print(f"wrote {out}/eigenvalues.csv support_curve.csv pushforward.csv law.csv")
 

@@ -15,9 +15,10 @@ import pathlib
 
 import numpy as np
 
+from freebrown.cli import write_rows
 from freebrown.measures import SpectralMeasure
 from freebrown.multiplicative import multiplicative_profile, phi_of_theta_array
-from freebrown.rmt import sample_multiplicative, write_spectrum_csv
+from freebrown.rmt import sample_multiplicative
 
 
 def main():
@@ -41,32 +42,25 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     spectrum = sample_multiplicative(mu, args.n, args.t, args.steps, args.seed)
-    write_spectrum_csv(spectrum, out / "eigenvalues.csv")
+    eig = spectrum.eigenvalues
+    write_rows(out / "eigenvalues.csv", "csv", ["re", "im"], [eig.real, eig.imag])
 
     prof = multiplicative_profile(mu, args.t, args.n_theta)
-    with open(out / "boundary_curves.csv", "w", encoding="utf-8") as fh:
-        fh.write("theta,inner_re,inner_im,outer_re,outer_im\n")
-        for th, r in zip(prof.thetas, prof.r):
-            inner = r * np.exp(1j * th)
-            outer = np.exp(1j * th) / r
-            fh.write(
-                f"{th:.17g},{inner.real:.17g},{inner.imag:.17g},"
-                f"{outer.real:.17g},{outer.imag:.17g}\n"
-            )
+    unit = np.exp(1j * prof.thetas)
+    inner, outer = prof.r * unit, unit / prof.r
+    write_rows(
+        out / "boundary_curves.csv", "csv",
+        ["theta", "inner_re", "inner_im", "outer_re", "outer_im"],
+        [prof.thetas, inner.real, inner.imag, outer.real, outer.imag],
+    )
 
     # push the eigenvalue arguments through the boundary angle map
-    angles = np.angle(spectrum.eigenvalues)
-    phis = phi_of_theta_array(prof.measure_bar, args.t, angles)
-    with open(out / "pushforward_arg.csv", "w", encoding="utf-8") as fh:
-        fh.write("phi\n")
-        for p in phis:
-            fh.write(f"{p:.17g}\n")
+    phis = phi_of_theta_array(prof.measure_bar, args.t, np.angle(eig))
+    write_rows(out / "pushforward_arg.csv", "csv", ["phi"], [phis])
 
     hit = prof.r < 1.0
-    with open(out / "law.csv", "w", encoding="utf-8") as fh:
-        fh.write("phi,p\n")
-        for phi, r in zip(prof.phi[hit], prof.r[hit]):
-            fh.write(f"{phi:.17g},{-np.log(r) / (np.pi * args.t):.17g}\n")
+    write_rows(out / "law.csv", "csv", ["phi", "p"],
+               [prof.phi[hit], -np.log(prof.r[hit]) / (np.pi * args.t)])
 
     print(f"wrote {out}/eigenvalues.csv boundary_curves.csv pushforward_arg.csv law.csv")
 

@@ -1,13 +1,9 @@
 """Machinery shared by the boundary solves of both flows, v_t(a) for
 x0 + c_t and r_t(theta) for u b_t: a blocked, safeguarded Newton root
-engine, the support components of a grid, the time check and the
-thread-chunked row map.
+engine, the support components of a grid and the time check.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,24 +20,6 @@ ENDPOINT_STEPS = 200
 def check_time(t):
     if not t > 0:
         raise NonpositiveTime(f"t must be > 0, got {t}")
-
-
-def default_workers():
-    try:
-        return max(1, int(os.environ.get("FREEBROWN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def map_chunks(rows_for, points, workers):
-    """``rows_for(points)`` (a tuple of arrays), computed on ``workers``
-    contiguous chunks in threads (default FREEBROWN_THREADS) and joined."""
-    workers = default_workers() if workers is None else max(1, int(workers))
-    if workers == 1 or len(points) < 4 * workers:
-        return rows_for(points)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(rows_for, np.array_split(points, workers)))
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
 def solve_blocked(n, block_problem):

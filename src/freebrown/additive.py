@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._boundary import check_time, map_chunks, solve_blocked, support_intervals
+from ._boundary import check_time, solve_blocked, support_intervals
 from .errors import AtomDivision, OutsideSupport, ValidationError
 from .measures import SpectralMeasure, cauchy_transform
 from .quadrature import integrate_adaptive
@@ -154,6 +154,12 @@ def additive_law_density(mu: SpectralMeasure, t: float, a: float):
 # -- profiles ----------------------------------------------------------------
 
 
+def _rows(mu, t, a):
+    """(v_t, w_t, psi_t) at every point of ``a``, from one v_t solve."""
+    v = v_t_array(mu, t, a)
+    return v, density_w_array(mu, t, a, v), psi_t_array(mu, t, a, v)
+
+
 @dataclass(frozen=True)
 class AdditiveProfile:
     """Grid evaluation of (v_t, w_t, psi_t) plus the refined support set."""
@@ -166,32 +172,21 @@ class AdditiveProfile:
     psi: np.ndarray
     support_intervals: tuple
 
-    def __iter__(self):
-        """Rows (a, v, w, psi) in grid order."""
-        return iter(zip(self.grid, self.v, self.w, self.psi))
 
-
-def additive_profile(mu: SpectralMeasure, t: float, grid, workers=None) -> AdditiveProfile:
+def additive_profile(mu: SpectralMeasure, t: float, grid) -> AdditiveProfile:
     """Evaluate the profile on a strictly increasing grid.
 
     Support intervals are the maximal grid runs with v > 0, their endpoints
     refined by bisection on the exactly computable indicator
     sum_j w_j/(a-x_j)^2 - 1/t (a run touching the grid edge keeps the edge),
     plus the components around atoms that fall between grid points.
-    Rows are computed in deterministic grid order; ``workers`` (default from
-    FREEBROWN_THREADS) chunks the grid across threads.
     """
     mu.require_real("additive_profile")
     check_time(t)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0):
         raise ValidationError("grid must be strictly increasing with >= 2 points")
-
-    def rows_for(chunk):
-        v = v_t_array(mu, t, chunk)
-        return v, density_w_array(mu, t, chunk, v), psi_t_array(mu, t, chunk, v)
-
-    v, w, psi = map_chunks(rows_for, grid, workers)
+    v, w, psi = _rows(mu, t, grid)
     intervals = support_intervals(
         grid, v > 0.0, lambda a: _sum_inv_sq(mu, a) > 1.0 / t, mu.locations
     )
@@ -201,15 +196,19 @@ def additive_profile(mu: SpectralMeasure, t: float, grid, workers=None) -> Addit
 # -- integrals over the support ----------------------------------------------
 
 
-def _pushforward_integrand(mu, t, powers):
+def _integrate_moments(profile: AdditiveProfile, powers) -> np.ndarray:
+    """int psi_t(a)^k 2 v_t(a) w_t(a) da over the support, k in ``powers``."""
+    mu, t = profile.measure, profile.t
+
     def f(a):
-        v = v_t_array(mu, t, a)
-        w = density_w_array(mu, t, a, v)
+        v, w, psi = _rows(mu, t, a)
         base = 2.0 * v * w
-        psi = psi_t_array(mu, t, a, v)
         return np.stack([base * psi**k for k in powers], axis=1)
 
-    return f
+    total = np.zeros(len(powers))
+    for lo, hi in profile.support_intervals:
+        total += integrate_adaptive(f, lo, hi, rel_tol=1e-8)
+    return total
 
 
 def pushforward_moments(profile: AdditiveProfile, k_max: int) -> np.ndarray:
@@ -220,32 +219,12 @@ def pushforward_moments(profile: AdditiveProfile, k_max: int) -> np.ndarray:
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    powers = list(range(1, k_max + 1))
-    total = np.zeros(k_max)
-    f = _pushforward_integrand(profile.measure, profile.t, powers)
-    for lo, hi in profile.support_intervals:
-        total += integrate_adaptive(f, lo, hi, rel_tol=1e-8)
-    return total
+    return _integrate_moments(profile, range(1, k_max + 1))
 
 
 def total_mass(profile: AdditiveProfile) -> float:
     """int 2 v_t w_t da over the support (should be 1)."""
-    f = _pushforward_integrand(profile.measure, profile.t, [0])
-    mass = 0.0
-    for lo, hi in profile.support_intervals:
-        mass += float(integrate_adaptive(f, lo, hi, rel_tol=1e-8)[0])
-    return mass
-
-
-# -- file output ---------------------------------------------------------------
-
-
-def write_profile_csv(profile: AdditiveProfile, path):
-    """CSV rows a,v,w,psi at 17 significant digits (byte-stable)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("a,v,w,psi\n")
-        for a, v, w, psi in profile:
-            fh.write(f"{a:.17g},{v:.17g},{w:.17g},{psi:.17g}\n")
+    return float(_integrate_moments(profile, [0])[0])
 
 
 def support_sidecar(profile: AdditiveProfile) -> dict:

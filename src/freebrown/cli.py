@@ -44,7 +44,7 @@ class RunConfig:
     out: str | None = None
     spectrum: str | None = None
     marginal: str | None = None
-    format: str = "csv"
+    format: str | None = None
 
     def validate(self):
         if self.t is not None and not self.t > 0:
@@ -99,17 +99,18 @@ def _write_manifest(out, config: RunConfig):
     )
 
 
-def _write_rows(out, fmt, header, rows):
-    """rows: iterable of float tuples; CSV at 17 significant digits, or a
-    JSON list of objects keyed by the header names."""
-    if fmt == "csv":
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-    else:
-        payload = [dict(zip(header, (float(x) for x in row))) for row in rows]
-        _write_json(out, payload)
+def write_rows(path, fmt, header, columns):
+    """Equal-length float columns as CSV at 17 significant digits (the
+    whole block in one %-format), or as a JSON list of objects keyed by the
+    header names."""
+    block = np.column_stack(columns)
+    if fmt == "json":
+        _write_json(path, [dict(zip(header, row)) for row in block.tolist()])
+        return
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 # -- subcommand drivers --------------------------------------------------------
@@ -122,7 +123,10 @@ def _run_additive(config: RunConfig):
     profile = additive.additive_profile(mu, config.t, grid)
     if config.command == "additive-density":
         mass = _checked_mass(additive.total_mass(profile))
-        _write_rows(config.out, config.format, ["a", "v", "w", "psi"], iter(profile))
+        write_rows(
+            config.out, config.format, ["a", "v", "w", "psi"],
+            [profile.grid, profile.v, profile.w, profile.psi],
+        )
         _write_json(f"{config.out}.intervals.json", additive.support_sidecar(profile))
         max_w = float(np.max(profile.w)) if len(profile.w) else 0.0
         bound = 2.0 / (np.pi * config.t)
@@ -135,10 +139,7 @@ def _run_additive(config: RunConfig):
         hit = profile.v > 0.0
         ys = profile.psi[hit]
         ps = profile.v[hit] / (np.pi * config.t)
-        _write_rows(
-            config.out, config.format, ["a", "y", "p"],
-            zip(profile.grid[hit], ys, ps),
-        )
+        write_rows(config.out, config.format, ["a", "y", "p"], [profile.grid[hit], ys, ps])
         peak = float(np.max(ps)) if len(ps) else 0.0
         print(f"additive-law: points={int(hit.sum())} peak_density={peak:.6g}")
     _write_manifest(config.out, config)
@@ -152,9 +153,9 @@ def _run_mult(config: RunConfig):
     profile = multiplicative.multiplicative_profile(mu, config.t, n_theta)
     if config.command == "mult-density":
         mass = _checked_mass(multiplicative.total_mass(profile))
-        _write_rows(
-            config.out, config.format,
-            ["theta", "r", "phi", "w", "arg_density"], iter(profile),
+        write_rows(
+            config.out, config.format, ["theta", "r", "phi", "w", "arg_density"],
+            [profile.thetas, profile.r, profile.phi, profile.w, profile.arg_density],
         )
         _write_json(f"{config.out}.arcs.json", multiplicative.arcs_sidecar(profile))
         max_w = float(np.max(profile.w)) if len(profile.w) else 0.0
@@ -166,9 +167,9 @@ def _run_mult(config: RunConfig):
     else:  # mult-law
         hit = profile.r < 1.0
         ps = -np.log(profile.r[hit]) / (np.pi * config.t)
-        _write_rows(
+        write_rows(
             config.out, config.format, ["theta", "phi", "p"],
-            zip(profile.thetas[hit], profile.phi[hit], ps),
+            [profile.thetas[hit], profile.phi[hit], ps],
         )
         print(f"mult-law: points={int(hit.sum())}")
     _write_manifest(config.out, config)
@@ -183,13 +184,8 @@ def _run_simulate(config: RunConfig):
         spectrum = rmt.sample_multiplicative(
             mu, config.n, config.t, config.steps, config.seed
         )
-    if config.format == "csv":
-        rmt.write_spectrum_csv(spectrum, config.out)
-    else:
-        _write_rows(
-            config.out, "json", ["re", "im"],
-            ((lam.real, lam.imag) for lam in spectrum.eigenvalues),
-        )
+    eig = spectrum.eigenvalues
+    write_rows(config.out, config.format, ["re", "im"], [eig.real, eig.imag])
     _write_json(f"{config.out}.meta.json", rmt.spectrum_metadata(spectrum))
     _write_manifest(config.out, config)
     mean = spectrum.eigenvalues.mean()
@@ -251,12 +247,10 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="topcmd", required=True)
 
-    def add_common(sp, *, measure=True, t=True, out_required=True):
-        if measure:
-            sp.add_argument("--measure", required=True, help="measure JSON file")
-        if t:
-            sp.add_argument("--t", type=float, required=True, help="flow time > 0")
-        sp.add_argument("--out", required=out_required, help="output path")
+    def add_common(sp):
+        sp.add_argument("--measure", required=True, help="measure JSON file")
+        sp.add_argument("--t", type=float, required=True, help="flow time > 0")
+        sp.add_argument("--out", required=True, help="output path")
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
     padd = sub.add_parser("additive", help="additive-flow Brown measure")
@@ -290,14 +284,12 @@ def _build_parser():
     pcmp.add_argument("--grid", help="additive grid lo:hi:n")
     pcmp.add_argument("--n-theta", type=int)
     pcmp.add_argument("--out", help="report JSON path")
-    pcmp.add_argument("--format", choices=["csv", "json"], default="json")
 
     pchk = sub.add_parser("check", help="closed-form cross-checks")
     schk = pchk.add_subparsers(dest="subcmd", required=True)
     sp = schk.add_parser("haar")
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--out", help="report JSON path")
-    sp.add_argument("--format", choices=["csv", "json"], default="json")
 
     return p
 
@@ -317,7 +309,7 @@ def _config_from_args(args) -> RunConfig:
         out=getattr(args, "out", None),
         spectrum=getattr(args, "spectrum", None),
         marginal=getattr(args, "marginal", None),
-        format=getattr(args, "format", "csv"),
+        format=getattr(args, "format", None),
     )
 
 
@@ -358,7 +350,7 @@ def main(argv=None) -> int:
     try:
         config.validate()
         return _DRIVERS[config.command](config)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._boundary import check_time, map_chunks, solve_blocked, support_intervals
+from ._boundary import BLOCK, check_time, solve_blocked, support_intervals
 from .errors import InvalidRadius, OutsideU, PoleAtAtom, ValidationError, ZeroLambda
 from .measures import SpectralMeasure, reflect_circle_measure
 from .quadrature import integrate_adaptive
@@ -195,67 +195,67 @@ def phi_map(mu_bar: SpectralMeasure, t: float, z: complex) -> complex:
     return z * complex(np.exp(expo))
 
 
-def _angle_rows(mu_bar, t, thetas, r):
-    """(phi, w, m) at angles with r = r_t(theta) < 1, vectorized.
+def _rows(mu_bar, t, thetas):
+    """(r, phi, w, m) at every angle, from one r_t solve, vectorized.
 
     phi comes out as the continuous representative directly (it is a finite
-    sum of continuous terms, not a principal-branch argument).
+    sum of continuous terms, not a principal-branch argument). Outside U_t
+    (r = 1) phi and m are the unit-circle continuations and w = 0.
     """
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    r = r_t_array(mu_bar, t, th)
     if mu_bar.is_haar:
-        w = np.full_like(thetas, 1.0 / (2.0 * np.pi * t))
-        return thetas.copy(), w, np.zeros_like(thetas)
-    u = thetas[:, None] + mu_bar.locations[None, :]
+        w = np.full_like(th, 1.0 / (2.0 * np.pi * t))
+        return r, th.copy(), w, np.zeros_like(th)
+    m, w = np.empty_like(th), np.empty_like(th)
+    # BLOCK angles at a time bounds the (angles x atoms) work arrays
+    for start in range(0, len(th), BLOCK):
+        sl = slice(start, start + BLOCK)
+        m[sl], w[sl] = _block_rows(mu_bar, t, th[sl], r[sl])
+    return r, th + 0.5 * t * m, w, m
+
+
+def _block_rows(mu_bar, t, th, r):
+    """(m, w) at angles ``th`` with boundary radii ``r``."""
+    u = th[:, None] + mu_bar.locations[None, :]
     wj = mu_bar.weights[None, :]
-    rc = r[:, None]
-    D = _den(rc, u)
+    D = _den(r[:, None], u)
     D2 = D * D
-    su, cu = np.sin(u), np.cos(u)
+    su = np.sin(u)
+    m = 2.0 * r * (wj * su / D).sum(axis=1)
     S1 = (wj / D).sum(axis=1)
-    Ssin_D = (wj * su / D).sum(axis=1)
     Ssin_D2 = (wj * su / D2).sum(axis=1)
-    Scos_D2 = (wj * cu / D2).sum(axis=1)
+    Scos_D2 = (wj * np.cos(u) / D2).sum(axis=1)
     S_D2 = (wj / D2).sum(axis=1)
-
-    m = 2.0 * r * Ssin_D
-    phi = thetas + 0.5 * t * m
-
-    g = _g(r)
-    gp = _g_prime(r)
-    f_r = gp * S1 + g * (2.0 * Scos_D2 - 2.0 * r * S_D2)
-    f_th = -2.0 * r * g * Ssin_D2
-    drdth = -f_th / f_r
+    # g(1) = 0/0: the derivative terms are NaN outside U_t, masked below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = _g(r)
+        f_r = _g_prime(r) * S1 + g * (2.0 * Scos_D2 - 2.0 * r * S_D2)
+        f_th = -2.0 * r * g * Ssin_D2
+        drdth = -f_th / f_r
     dm = 2.0 * (
         drdth * (1.0 - r * r) * Ssin_D2 + (r**3 + r) * Scos_D2 - 2.0 * r * r * S_D2
     )
-    w = (2.0 / t + dm) / (4.0 * np.pi)
-    return phi, w, m
+    return m, np.where(r < 1.0, (2.0 / t + dm) / (4.0 * np.pi), 0.0)
 
 
-def _phi_only(mu_bar, t, thetas, r):
-    """Angle map theta + (t/2) m without the density machinery; valid at
-    r = 1 too (used for rows outside U_t)."""
-    if mu_bar.is_haar:
-        return thetas.copy()
-    u = thetas[:, None] + mu_bar.locations[None, :]
-    D = _den(r[:, None], u)
-    m = 2.0 * r * (mu_bar.weights[None, :] * np.sin(u) / D).sum(axis=1)
-    return thetas + 0.5 * t * m
+def _arg_density(r, w):
+    """a_t = -2 log(r_t) w_t, exactly 0 outside U_t."""
+    return np.where(r < 1.0, -2.0 * np.log(r) * w, 0.0)
 
 
 def phi_of_theta_array(mu_bar: SpectralMeasure, t: float, thetas) -> np.ndarray:
     """Vectorized boundary angle map, extended by the unit-circle
     continuation (r_t = 1) outside U_t."""
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    return _phi_only(mu_bar, t, th, r_t_array(mu_bar, t, th))
+    return _rows(mu_bar, t, thetas)[1]
 
 
 def _row_at(mu_bar, t, theta):
     """(r, phi, w, m) at one angle of U_t."""
-    r = r_t(mu_bar, t, theta)
+    r, phi, w, m = (float(z[0]) for z in _rows(mu_bar, t, [float(theta)]))
     if r >= 1.0:
         raise OutsideU(f"theta={theta} not in U_t")
-    rows = _angle_rows(mu_bar, t, np.array([float(theta)]), np.array([r]))
-    return (r,) + tuple(float(z[0]) for z in rows)
+    return r, phi, w, m
 
 
 def m_t(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
@@ -297,13 +297,8 @@ class MultiplicativeProfile:
     arg_density: np.ndarray
     u_components: tuple
 
-    def __iter__(self):
-        return iter(zip(self.thetas, self.r, self.phi, self.w, self.arg_density))
 
-
-def multiplicative_profile(
-    mu: SpectralMeasure, t: float, n_theta: int, workers=None
-) -> MultiplicativeProfile:
+def multiplicative_profile(mu: SpectralMeasure, t: float, n_theta: int) -> MultiplicativeProfile:
     """Profile on a uniform angle grid over (-pi, pi].
 
     Takes the spectral measure of the unitary itself; the reflection is built
@@ -316,21 +311,7 @@ def multiplicative_profile(
     mu_bar = reflect_circle_measure(mu)
     thetas = np.linspace(-np.pi, np.pi, n_theta + 1)[1:]
 
-    def rows_for(chunk):
-        r = r_t_array(mu_bar, t, chunk)
-        phi = np.empty_like(chunk)
-        w = np.zeros_like(chunk)
-        hit = r < 1.0
-        if np.any(hit):
-            phi[hit], w[hit], _ = _angle_rows(mu_bar, t, chunk[hit], r[hit])
-        if np.any(~hit):
-            # boundary continuation of the angle map on the unit circle
-            phi[~hit] = _phi_only(mu_bar, t, chunk[~hit], r[~hit])
-        return r, phi, w
-
-    r, phi, w = map_chunks(rows_for, thetas, workers)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(r < 1.0, -2.0 * np.log(r) * w, 0.0)
+    r, phi, w, _ = _rows(mu_bar, t, thetas)
     # runs on the grid extended by -pi, the grid angle pi seen across the
     # cut: a component crossing the cut gives two arcs meeting at +-pi, and
     # a run ending at pi whose endpoint lies just beyond gives the sliver
@@ -341,7 +322,9 @@ def multiplicative_profile(
         lambda th: f_limit_at_circle(mu_bar, th) > 1.0 / t,
         mu.locations,
     )
-    return MultiplicativeProfile(mu, mu_bar, t, thetas, r, phi, w, a, comps)
+    return MultiplicativeProfile(
+        mu, mu_bar, t, thetas, r, phi, w, _arg_density(r, w), comps
+    )
 
 
 def mult_law_density(mu: SpectralMeasure, t: float, theta: float):
@@ -357,24 +340,16 @@ def arg_marginal(profile: MultiplicativeProfile) -> np.ndarray:
     return np.column_stack((profile.thetas, profile.arg_density))
 
 
-def _mass_integrand(mu_bar, t):
-    def f(th):
-        r = r_t_array(mu_bar, t, th)
-        out = np.zeros_like(th)
-        hit = r < 1.0
-        if np.any(hit):
-            _, w, _ = _angle_rows(mu_bar, t, th[hit], r[hit])
-            out[hit] = -2.0 * np.log(r[hit]) * w
-        return out
-
-    return f
-
-
 def total_mass(profile: MultiplicativeProfile) -> float:
     """int -2 log(r_t) w_t dtheta over the arcs (equals int p_t dphi; 1)."""
-    if profile.measure_bar.is_haar:
+    mu_bar, t = profile.measure_bar, profile.t
+    if mu_bar.is_haar:
         return 1.0  # -2 log(e^{-t/2}) * 1/(2 pi t) * 2 pi exactly
-    f = _mass_integrand(profile.measure_bar, profile.t)
+
+    def f(th):
+        r, _, w, _ = _rows(mu_bar, t, th)
+        return _arg_density(r, w)
+
     mass = 0.0
     for lo, hi in profile.u_components:
         mass += float(integrate_adaptive(f, lo, hi, rel_tol=1e-8))
@@ -421,17 +396,6 @@ def haar_annulus_check(t: float, n_radii: int = 33) -> AnnulusCheck:
             )
     disc = float(np.max(np.abs(cdf_s - cdf_num)))
     return AnnulusCheck(t, radii, cdf_s, cdf_num, disc)
-
-
-# -- file output ----------------------------------------------------------------
-
-
-def write_profile_csv(profile: MultiplicativeProfile, path):
-    """CSV rows theta,r,phi,w,arg_density at 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("theta,r,phi,w,arg_density\n")
-        for th, r, phi, w, a in profile:
-            fh.write(f"{th:.17g},{r:.17g},{phi:.17g},{w:.17g},{a:.17g}\n")
 
 
 def arcs_sidecar(profile: MultiplicativeProfile) -> dict:

@@ -266,17 +266,6 @@ def compare_marginal(
     return ComparisonReport(spectrum.model, spectrum.n, spectrum.t, marginal, dist, bins)
 
 
-# -- file output ----------------------------------------------------------------
-
-
-def write_spectrum_csv(spectrum: EmpiricalSpectrum, path):
-    """CSV rows re,im at 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("re,im\n")
-        for lam in spectrum.eigenvalues:
-            fh.write(f"{lam.real:.17g},{lam.imag:.17g}\n")
-
-
 def spectrum_metadata(spectrum: EmpiricalSpectrum) -> dict:
     return {
         "model": spectrum.model,
@@ -301,11 +290,14 @@ def load_spectrum(path, meta: dict) -> EmpiricalSpectrum:
         eig = data[:, 0] + 1j * data[:, 1]
     except (ValueError, TypeError, KeyError, IndexError) as exc:
         raise ValidationError(f"unreadable spectrum file {path}: {exc}") from exc
-    return EmpiricalSpectrum(
-        eig,
-        int(meta["n"]),
-        float(meta["t"]),
-        str(meta["model"]),
-        int(meta["seed"]),
-        None if meta.get("steps") is None else int(meta["steps"]),
-    )
+    try:
+        return EmpiricalSpectrum(
+            eig,
+            int(meta["n"]),
+            float(meta["t"]),
+            str(meta["model"]),
+            int(meta["seed"]),
+            None if meta.get("steps") is None else int(meta["steps"]),
+        )
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ValidationError(f"bad spectrum metadata for {path}: {exc!r}") from exc

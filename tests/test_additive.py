@@ -15,8 +15,8 @@ from freebrown.additive import (
     total_mass,
     v_t,
     v_t_array,
-    write_profile_csv,
 )
+from freebrown.cli import write_rows
 from freebrown.cumulants import free_additive_with_semicircle
 from freebrown.errors import (
     AtomDivision,
@@ -223,15 +223,6 @@ def test_profile_grid_validation():
         additive_profile(D0, 1.0, np.array([1.0, 0.5]))
 
 
-def test_profile_workers_deterministic():
-    grid = np.linspace(-2, 2, 401)
-    p1 = additive_profile(TWO, 1.0, grid, workers=1)
-    p4 = additive_profile(TWO, 1.0, grid, workers=4)
-    assert np.array_equal(p1.v, p4.v)
-    assert np.array_equal(p1.w, p4.w)
-    assert np.array_equal(p1.psi, p4.psi)
-
-
 # -- mass and push-forward -------------------------------------------------------------
 
 
@@ -324,7 +315,7 @@ def test_vertical_constancy_by_construction():
 def test_csv_and_sidecar(tmp_path):
     prof = additive_profile(D0, 1.0, np.linspace(-2, 2, 101))
     path = tmp_path / "prof.csv"
-    write_profile_csv(prof, path)
+    write_rows(path, "csv", ["a", "v", "w", "psi"], [prof.grid, prof.v, prof.w, prof.psi])
     lines = path.read_text().splitlines()
     assert lines[0] == "a,v,w,psi"
     assert len(lines) == 102

@@ -1,6 +1,6 @@
 """The shared boundary engine: Newton roots of v_t and r_t against plain
-bisection references, the iteration cap, chunk determinism, and support
-components that hold no grid point."""
+bisection references, the iteration cap, and support components that hold
+no grid point."""
 
 import json
 import math
@@ -165,29 +165,6 @@ def _dense(kind):
     if kind == "real":
         return SpectralMeasure.real_atomic(rng.uniform(-2, 2, 200), w)
     return SpectralMeasure.circle_atomic(rng.uniform(-np.pi, np.pi, 200), w)
-
-
-def test_workers_bitwise_on_dense_measures():
-    """Two thread chunks of more than two 128-point blocks each give the
-    same bits as one pass."""
-    mu = _dense("real")
-    grid = np.linspace(-3, 3, 1001)
-    p1 = additive_profile(mu, 1.0, grid, workers=1)
-    p2 = additive_profile(mu, 1.0, grid, workers=2)
-    assert np.count_nonzero(p1.v[:500]) > 2 * _boundary.BLOCK
-    assert np.count_nonzero(p1.v[500:]) > 2 * _boundary.BLOCK
-    for name in ("v", "w", "psi"):
-        assert np.array_equal(getattr(p1, name), getattr(p2, name))
-    assert p1.support_intervals == p2.support_intervals
-
-    mu = _dense("circle")
-    m1 = multiplicative_profile(mu, 0.5, 1441, workers=1)
-    m2 = multiplicative_profile(mu, 0.5, 1441, workers=2)
-    assert np.count_nonzero(m1.r[:720] < 1) > 2 * _boundary.BLOCK
-    assert np.count_nonzero(m1.r[720:] < 1) > 2 * _boundary.BLOCK
-    for name in ("r", "phi", "w", "arg_density"):
-        assert np.array_equal(getattr(m1, name), getattr(m2, name))
-    assert m1.u_components == m2.u_components
 
 
 # -- support components without grid points ----------------------------------------

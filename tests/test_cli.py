@@ -229,3 +229,67 @@ def test_compare_reads_json_spectrum(tmp_path, capsys):
         ["compare", "--spectrum", str(eig), "--measure", mpath,
          "--marginal", "radius"]
     ) == 2
+
+
+def test_write_rows_matches_per_value_format(tmp_path):
+    """The block %-format gives the bytes of f"{x:.17g}" per value."""
+    from freebrown.cli import write_rows
+
+    row = [0.0, -0.0, np.inf, -np.inf, 5e-324, 1 / 3, 1e300, -2.5]
+    header = [f"c{i}" for i in range(len(row))]
+    path = tmp_path / "row.csv"
+    write_rows(path, "csv", header, [np.array([x]) for x in row])
+    want = ",".join(header) + "\n" + ",".join(f"{x:.17g}" for x in row) + "\n"
+    assert path.read_bytes() == want.encode()
+    write_rows(path, "json", header, [np.array([x]) for x in row])
+    assert json.loads(path.read_text()) == [dict(zip(header, row))]
+
+
+def test_malformed_spectrum_metadata_exit_code(tmp_path, capsys):
+    mpath = write_measure(tmp_path, HAAR, "h.json")
+    eig = tmp_path / "s.csv"
+    eig.write_text("re,im\n0.5,0.25\n-0.5,0.5\n")
+    argv = ["compare", "--spectrum", str(eig), "--measure", mpath, "--marginal", "radius"]
+    meta = tmp_path / "s.csv.meta.json"
+    for doc in (
+        {"model": "multiplicative", "t": 1},
+        {"model": "multiplicative", "n": 2, "t": "soon", "seed": 1},
+        {"model": "multiplicative", "n": None, "t": 1, "seed": 1},
+        ["multiplicative", 2, 1, 1],
+    ):
+        meta.write_text(json.dumps(doc))
+        assert main(argv) == 2
+        assert "metadata" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def test_directory_as_input_exit_code(tmp_path, capsys):
+    code = main(
+        ["additive", "density", "--measure", str(tmp_path), "--t", "1",
+         "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().err.strip())
+
+
+def test_json_only_commands_reject_format(tmp_path, capsys):
+    """compare and check haar always write JSON: no --format, and no format
+    in their manifests."""
+    mpath = write_measure(tmp_path, HAAR, "h.json")
+    eig = tmp_path / "s.csv"
+    assert main(
+        ["simulate", "mult", "--measure", mpath, "--t", "1", "--n", "20",
+         "--steps", "100", "--seed", "1", "--out", str(eig)]
+    ) == 0
+    compare = ["compare", "--spectrum", str(eig), "--measure", mpath,
+               "--marginal", "radius", "--out", str(tmp_path / "c.json")]
+    check = ["check", "haar", "--t", "1", "--out", str(tmp_path / "k.json")]
+    for argv in (compare, check):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert main(argv) == 0
+    for name in ("c.json", "k.json"):
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["config"]["format"] is None
+    sim = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert sim["config"]["format"] == "csv"

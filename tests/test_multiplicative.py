@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freebrown.cli import write_rows
 from freebrown.errors import (
     InvalidRadius,
     NonpositiveTime,
@@ -27,9 +28,7 @@ from freebrown.multiplicative import (
     phi_map,
     phi_of_theta,
     r_t,
-    r_t_array,
     total_mass,
-    write_profile_csv,
 )
 
 HAAR = SpectralMeasure.haar()
@@ -308,14 +307,6 @@ def test_profile_validation():
         multiplicative_profile(HAAR, 1.0, 8)
 
 
-def test_profile_workers_deterministic():
-    p1 = multiplicative_profile(ASYM, 0.8, 256, workers=1)
-    p4 = multiplicative_profile(ASYM, 0.8, 256, workers=4)
-    assert np.array_equal(p1.r, p4.r)
-    assert np.array_equal(p1.w, p4.w)
-    assert np.array_equal(p1.phi, p4.phi)
-
-
 def test_inversion_symmetry_of_planar_density():
     """W(r, theta) = w(theta)/r^2, so W(r) r^2 is constant along rays and the
     reported density at r e^{i theta} equals the one at (1/r) e^{i theta}
@@ -389,24 +380,17 @@ def test_law_matches_unitary_flow_closed_form(t):
     """For a point-mass unitary the flow law is the free unitary Brownian
     motion itself; its circular moments have a classical closed form. This
     exercises r_t, phi and w_t end to end against the literature values."""
-    from freebrown.multiplicative import _angle_rows
+    from freebrown.multiplicative import _rows
     from freebrown.quadrature import integrate_adaptive
 
     mu_bar = reflect_circle_measure(D0C)
     prof = multiplicative_profile(D0C, t, 721)
 
     def integrand(th):
-        th = np.atleast_1d(th)
-        r = r_t_array(mu_bar, t, th)
-        out = np.zeros((len(th), 3))
-        hit = r < 1.0
-        if np.any(hit):
-            phi, w, _ = _angle_rows(mu_bar, t, th[hit], r[hit])
-            p_dphi = (-np.log(r[hit]) / (np.pi * t)) * (2.0 * np.pi * t * w)
-            for i, k in enumerate((1, 2, 3)):
-                # imaginary parts vanish by the symmetry of this measure
-                out[hit, i] = np.cos(k * phi) * p_dphi
-        return out
+        r, phi, w, _ = _rows(mu_bar, t, th)
+        # w = 0 outside U_t; imaginary parts vanish by the symmetry of this measure
+        p_dphi = (-np.log(r) / (np.pi * t)) * (2.0 * np.pi * t * w)
+        return np.stack([np.cos(k * phi) * p_dphi for k in (1, 2, 3)], axis=1)
 
     got = np.zeros(3)
     for lo, hi in prof.u_components:
@@ -438,7 +422,10 @@ def test_annulus_nonpositive_time():
 def test_csv_and_sidecar(tmp_path):
     prof = multiplicative_profile(D0C, 1.0, 64)
     path = tmp_path / "prof.csv"
-    write_profile_csv(prof, path)
+    write_rows(
+        path, "csv", ["theta", "r", "phi", "w", "arg_density"],
+        [prof.thetas, prof.r, prof.phi, prof.w, prof.arg_density],
+    )
     lines = path.read_text().splitlines()
     assert lines[0] == "theta,r,phi,w,arg_density"
     assert len(lines) == 65

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from freebrown.additive import additive_profile
+from freebrown.cli import write_rows
 from freebrown.errors import MismatchedModel, ValidationError
 from freebrown.measures import SpectralMeasure
 from freebrown.multiplicative import multiplicative_profile
@@ -16,7 +17,6 @@ from freebrown.rmt import (
     sample_additive,
     sample_multiplicative,
     spectrum_metadata,
-    write_spectrum_csv,
 )
 
 D0 = SpectralMeasure.point_mass(0.0)
@@ -187,7 +187,9 @@ def test_compare_empty_grid_guard(additive_delta0_spectrum_1000):
 def test_spectrum_roundtrip(tmp_path):
     spec = sample_additive(TWO, 32, 0.7, 123)
     path = tmp_path / "eig.csv"
-    write_spectrum_csv(spec, path)
+    eig = spec.eigenvalues
+    write_rows(path, "csv", ["re", "im"], [eig.real, eig.imag])
+    assert path.read_text().splitlines()[0] == "re,im"
     meta = spectrum_metadata(spec)
     assert meta == {"model": "additive", "n": 32, "t": 0.7, "seed": 123, "steps": None}
     back = load_spectrum(path, meta)
