@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import AdditiveProfile
-from .errors import EigenSolverFailure, MismatchedModel, NonpositiveTime, ValidationError
+from .errors import (
+    EigenSolverFailure,
+    MismatchedModel,
+    NonpositiveTime,
+    NumericalError,
+    ValidationError,
+)
 from .measures import SpectralMeasure
 from .multiplicative import MultiplicativeProfile
 
@@ -79,9 +85,10 @@ def _norm2_estimate(a, iters=12):
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
+    ah = a.conj().T
     est = 0.0
     for _ in range(iters):
-        w = a.conj().T @ (a @ v)
+        w = ah @ (a @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
@@ -90,35 +97,59 @@ def _norm2_estimate(a, iters=12):
     return est
 
 
-def expm(a: np.ndarray, target: float = 1e-15) -> np.ndarray:
+#: relative backward-error target of the truncated Taylor series
+TAYLOR_TARGET = 1e-15
+
+
+def expm(a: np.ndarray) -> np.ndarray:
     """Dense matrix exponential by scaling-and-squaring with a truncated
-    Taylor (Horner) kernel; the order is chosen so the series remainder is
-    below ``target`` relative backward error.
+    Taylor kernel; the order m is chosen so the series remainder is below
+    ``TAYLOR_TARGET`` relative backward error.
 
     The norm driving the bound is min(1-norm, 1.2 * spectral-norm estimate):
     the safety-factored power-iteration value is much tighter for the nearly
-    iid Gaussian increments this is used on.
+    iid Gaussian increments this is used on. Scaling makes that norm at most
+    0.5, so m stays below ~15.
+
+    The degree-m Taylor polynomial is evaluated by Paterson-Stockmeyer: with
+    p = ceil(sqrt(m)) and the powers b^0..b^p in one stack, it is Horner in
+    b^p over coefficient blocks sum_j b^j / (ip + j)!, each block one
+    contraction of the 1/k! slice against the stack. That takes
+    p - 1 + floor(m / p) products (one fewer when p divides m) instead of
+    m - 1; at m = 12, 5 instead of 11.
+
+    Raises ``NumericalError`` when ``a`` has a NaN or infinite entry.
     """
     a = np.asarray(a)
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("expm: input matrix has non-finite entries")
     n = a.shape[0]
     nrm = min(np.linalg.norm(a, 1), 1.2 * _norm2_estimate(a))
     s = 0
     while nrm / (2.0**s) > 0.5:
         s += 1
-    b = a / (2.0**s) if s else a
     bn = nrm / (2.0**s)
     # smallest order with remainder bound sum_{k>m} bn^k/k! <= target
-    m, term, rem = 1, bn, bn
+    m, term = 1, bn
     while True:
         m += 1
         term *= bn / m
-        rem = term * 1.0 / max(1e-300, (1.0 - bn / (m + 2)))
-        if rem <= target or m >= 40:
+        if term / (1.0 - bn / (m + 2)) <= TAYLOR_TARGET:
             break
-    eye = np.eye(n, dtype=complex)
-    e = eye + b / m
-    for k in range(m - 1, 0, -1):
-        e = eye + (b / k) @ e
+    p = math.isqrt(m - 1) + 1
+    q, r = divmod(m, p)
+    if r == 0:  # fold the scalar top block c_m I into the block below
+        q, r = q - 1, p
+    coef = 1.0 / np.cumprod(np.maximum(np.arange(m + 1.0), 1.0))  # 1/k!
+    powers = np.empty((p + 1, n, n), dtype=complex)
+    powers[0] = np.eye(n)
+    np.multiply(a, 2.0**-s, out=powers[1])
+    for j in range(2, p + 1):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    e = np.tensordot(coef[q * p :], powers[: r + 1], axes=1)
+    for i in range(q - 1, -1, -1):
+        e = e @ powers[p]
+        e += np.tensordot(coef[i * p : (i + 1) * p], powers[:p], axes=1)
     for _ in range(s):
         e = e @ e
     return e

@@ -1,12 +1,17 @@
+import cmath
+
 import numpy as np
 import pytest
 
+from freebrown import rmt
+
 from freebrown.additive import additive_profile
 from freebrown.cli import write_rows
-from freebrown.errors import MismatchedModel, ValidationError
+from freebrown.errors import MismatchedModel, NumericalError, ValidationError
 from freebrown.measures import SpectralMeasure
 from freebrown.multiplicative import multiplicative_profile
 from freebrown.rmt import (
+    _norm2_estimate,
     additive_matrix,
     allocate_atom_counts,
     compare_marginal,
@@ -40,6 +45,32 @@ def test_haar_unitary_is_unitary():
     assert np.abs(u @ u.conj().T - np.eye(50)).max() < 1e-12
 
 
+def _horner_expm(a):
+    """Scaling-and-squaring with a plain Horner Taylor kernel: the same norm
+    bound, order and scaling as ``expm``, evaluated term by term. Returns
+    the exponential with the order m and the scaling s it used."""
+    n = a.shape[0]
+    nrm = min(np.linalg.norm(a, 1), 1.2 * _norm2_estimate(a))
+    s = 0
+    while nrm / (2.0**s) > 0.5:
+        s += 1
+    b = a / (2.0**s)
+    bn = nrm / (2.0**s)
+    m, term = 1, bn
+    while True:
+        m += 1
+        term *= bn / m
+        if term / (1.0 - bn / (m + 2)) <= 1e-15:
+            break
+    eye = np.eye(n, dtype=complex)
+    e = eye + b / m
+    for k in range(m - 1, 0, -1):
+        e = eye + (b / k) @ e
+    for _ in range(s):
+        e = e @ e
+    return e, m, s
+
+
 def test_expm_against_long_taylor():
     rng = np.random.default_rng(0)
     a = 0.2 * (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))) / 6.0
@@ -49,6 +80,48 @@ def test_expm_against_long_taylor():
         term = term @ a / k
         ref = ref + term
     assert np.abs(expm(a) - ref).max() < 1e-13
+
+
+def test_expm_matches_horner_on_every_order():
+    rng = np.random.default_rng(2)
+    orders, scalings = set(), set()
+    for n in (2, 7, 40):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g /= np.linalg.norm(g, 2)
+        for scale in np.geomspace(1e-9, 4.0, 60):
+            a = scale * g
+            ref, m, s = _horner_expm(a)
+            orders.add(m)
+            scalings.add(s)
+            assert np.abs(expm(a) - ref).max() <= 1e-13 * np.abs(ref).max()
+    # every order from 2 up, so both Paterson-Stockmeyer block layouts:
+    # p = ceil(sqrt(m)) divides m at 2, 4, 6, 9, 12 and not at the others
+    assert orders == set(range(2, max(orders) + 1)) and max(orders) >= 13
+    assert {0, 1, 3} <= scalings
+
+
+def test_expm_scalar_and_zero():
+    for z in (0.3 + 0.7j, -2.0 + 1.5j, 3.5 - 0.25j):
+        got = expm(np.array([[z]]))[0, 0]
+        assert abs(got - cmath.exp(z)) <= 1e-14 * abs(cmath.exp(z))
+    assert np.array_equal(expm(np.zeros((5, 5))), np.eye(5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expm_rejects_non_finite(bad):
+    a = np.zeros((4, 4), dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(NumericalError):
+        expm(a)
+
+
+def test_multiplicative_flow_matches_horner_flow(monkeypatch):
+    haar = SpectralMeasure.haar()
+    mat, logdet = multiplicative_flow(haar, 160, 1.0, 100, 3)
+    monkeypatch.setattr(rmt, "expm", lambda a: _horner_expm(a)[0])
+    ref, ref_logdet = multiplicative_flow(haar, 160, 1.0, 100, 3)
+    assert logdet == ref_logdet
+    assert np.abs(mat - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_expm_scaling_branch():
