@@ -1,6 +1,7 @@
 """Shared fixtures. The two multiplicative n=500/steps=500 samples dominate
-the suite's runtime (about 1 min each on 2 cores), so they are computed once
-per session and shared between the rmt tests and the acceptance criteria."""
+the suite's runtime (57-59 s each on 2 cores, most of it the 500 expm calls
+and G @ products), so they are computed once per session and shared between
+the rmt tests and the acceptance criteria."""
 
 import numpy as np
 import pytest

@@ -1,5 +1,7 @@
 import cmath
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +13,10 @@ from freebrown.errors import MismatchedModel, NumericalError, ValidationError
 from freebrown.measures import SpectralMeasure
 from freebrown.multiplicative import multiplicative_profile
 from freebrown.rmt import (
-    _norm2_estimate,
+    THETA_12,
+    TAYLOR_TARGET,
+    _T12,
+    _eigvals,
     additive_matrix,
     allocate_atom_counts,
     compare_marginal,
@@ -45,10 +50,28 @@ def test_haar_unitary_is_unitary():
     assert np.abs(u @ u.conj().T - np.eye(50)).max() < 1e-12
 
 
+def _norm2_estimate(a, iters=12):
+    """Power-iteration estimate of the spectral norm (on a^H a)."""
+    rng = np.random.default_rng(12345)
+    v = rng.standard_normal(a.shape[1])
+    v /= np.linalg.norm(v)
+    ah = a.conj().T
+    est = 0.0
+    for _ in range(iters):
+        w = ah @ (a @ v)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        est = math.sqrt(nw)
+        v = w / nw
+    return est
+
+
 def _horner_expm(a):
-    """Scaling-and-squaring with a plain Horner Taylor kernel: the same norm
-    bound, order and scaling as ``expm``, evaluated term by term. Returns
-    the exponential with the order m and the scaling s it used."""
+    """Scaling-and-squaring with a plain Horner Taylor kernel, independent of
+    ``expm``: the norm bound is min(1-norm, 1.2 * power-iteration estimate)
+    and the order m the smallest whose remainder bound is below the target.
+    Returns the exponential with the order m and the scaling s it used."""
     n = a.shape[0]
     nrm = min(np.linalg.norm(a, 1), 1.2 * _norm2_estimate(a))
     s = 0
@@ -71,15 +94,72 @@ def _horner_expm(a):
     return e, m, s
 
 
-def test_expm_against_long_taylor():
-    rng = np.random.default_rng(0)
-    a = 0.2 * (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))) / 6.0
-    ref = np.eye(40, dtype=complex)
-    term = np.eye(40, dtype=complex)
+def _long_taylor(a):
+    ref = np.eye(len(a), dtype=complex)
+    term = np.eye(len(a), dtype=complex)
     for k in range(1, 60):
         term = term @ a / k
         ref = ref + term
-    assert np.abs(expm(a) - ref).max() < 1e-13
+    return ref
+
+
+def _alpha2(a):
+    a2 = a @ a
+    return max(np.linalg.norm(a2, 1) ** 0.5, np.linalg.norm(a2 @ a, 1) ** (1.0 / 3.0))
+
+
+def test_expm_against_long_taylor():
+    rng = np.random.default_rng(0)
+    a = 0.2 * (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))) / 6.0
+    assert np.abs(expm(a) - _long_taylor(a)).max() < 1e-13
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
+def test_expm_either_side_of_theta12(side):
+    # alpha_2 just below theta_12 takes no squaring, just above it one
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    a = g * (side * THETA_12 / _alpha2(g))
+    assert (_alpha2(a) <= THETA_12) == (side < 1.0)
+    assert np.abs(expm(a) - _long_taylor(a)).max() < 1e-13
+
+
+def _t12_taylor_coefficients():
+    """Coefficients of T_12 = B_0 + (B_1 + B_2')B_2' expanded at 40 digits
+    from the module's float b_ij."""
+    b = [[mpmath.mpf(float(x)) for x in row] for row in _T12]
+
+    def mul(p, q):
+        out = [mpmath.mpf(0)] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    def add(p, q):
+        p, q = p + [0] * (len(q) - len(p)), q + [0] * (len(p) - len(q))
+        return [x + y for x, y in zip(p, q)]
+
+    b2 = add(b[2], mul(b[3], b[3]))
+    return add(b[0], mul(add(b[1], b2), b2))
+
+
+def test_t12_coefficients_are_taylor():
+    with mpmath.workdps(40):
+        coef = _t12_taylor_coefficients()
+        assert len(coef) == 13
+        for k, c in enumerate(coef):
+            rel = abs(c * mpmath.factorial(k) - 1)
+            # c_12 = b_33^4, so rounding b_33 to the nearest double alone
+            # gives 2.2e-16: the bound is four half-ulps (2^-51)
+            assert rel <= 2.0**-51, (k, float(rel))
+
+
+def test_theta12_meets_taylor_target():
+    with mpmath.workdps(40):
+        th = mpmath.mpf(THETA_12)
+        tail = mpmath.exp(th) - sum(th**k / mpmath.factorial(k) for k in range(13))
+        assert abs(tail / TAYLOR_TARGET - 1) <= 1e-12
 
 
 def test_expm_matches_horner_on_every_order():
@@ -94,8 +174,7 @@ def test_expm_matches_horner_on_every_order():
             orders.add(m)
             scalings.add(s)
             assert np.abs(expm(a) - ref).max() <= 1e-13 * np.abs(ref).max()
-    # every order from 2 up, so both Paterson-Stockmeyer block layouts:
-    # p = ceil(sqrt(m)) divides m at 2, 4, 6, 9, 12 and not at the others
+    # the sweep spans every reference order from 2 up and several scalings
     assert orders == set(range(2, max(orders) + 1)) and max(orders) >= 13
     assert {0, 1, 3} <= scalings
 
@@ -115,6 +194,33 @@ def test_expm_rejects_non_finite(bad):
         expm(a)
 
 
+def _unit_hermitian():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+    h = (x + x.conj().T) / 2
+    return h / np.linalg.norm(h, 2)
+
+
+def test_expm_raises_on_non_finite_result():
+    # the exact result is unitary; the 135 squarings double the roundoff
+    # each time, up to inf/NaN
+    with pytest.raises(NumericalError):
+        expm(1j * 1e40 * _unit_hermitian())
+
+
+@pytest.mark.parametrize("c", [1e3, 1e6])
+def test_expm_large_hermitian_stays_unitary(c):
+    e = expm(1j * c * _unit_hermitian())
+    assert np.abs(e @ e.conj().T - np.eye(20)).max() <= 1e-9
+
+
+def test_expm_prescales_huge_norms():
+    # A^3 would overflow without the power-of-two pre-scale
+    assert np.array_equal(expm(-1e110 * np.eye(3)), np.zeros((3, 3)))
+    a = np.array([[0.0, 1e120], [0.0, 0.0]])
+    assert np.array_equal(expm(a), np.eye(2) + a)
+
+
 def test_multiplicative_flow_matches_horner_flow(monkeypatch):
     haar = SpectralMeasure.haar()
     mat, logdet = multiplicative_flow(haar, 160, 1.0, 100, 3)
@@ -122,6 +228,30 @@ def test_multiplicative_flow_matches_horner_flow(monkeypatch):
     ref, ref_logdet = multiplicative_flow(haar, 160, 1.0, 100, 3)
     assert logdet == ref_logdet
     assert np.abs(mat - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(_eigvals(mat) - _eigvals(ref)).max() <= 1e-12
+
+
+def test_multiplicative_flow_increments_bitwise(monkeypatch):
+    # one (2, n, n) draw per step gives the increments of two (n, n) draws
+    n, t, steps, seed = 24, 1.0, 100, 5
+    seen = []
+
+    def record(a):
+        seen.append(a.copy())  # the flow reuses its increment buffer
+        return np.eye(n)
+
+    monkeypatch.setattr(rmt, "expm", record)
+    _, logdet = multiplicative_flow(SpectralMeasure.haar(), n, t, steps, seed)
+    rng = np.random.default_rng(seed)
+    haar_unitary(n, rng)
+    sd = math.sqrt(t / steps / (2.0 * n))
+    ref_logdet = 0.0
+    assert len(seen) == steps
+    for dz in seen:
+        ref = sd * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        ref_logdet += float(np.trace(ref).real)
+        assert np.array_equal(dz.view(np.uint64), ref.view(np.uint64))
+    assert logdet == ref_logdet
 
 
 def test_expm_scaling_branch():
@@ -175,10 +305,18 @@ def test_additive_validation():
 
 def test_eigensolver_failure_surfaces():
     from freebrown.errors import EigenSolverFailure
-    from freebrown.rmt import _eigvals
 
     with pytest.raises(EigenSolverFailure):
         _eigvals(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_eigvals_canonical_order():
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
+    perm = np.eye(50)[rng.permutation(50)]
+    vals = _eigvals(m)
+    assert np.array_equal(vals, np.sort(vals))
+    assert np.abs(_eigvals(perm @ m @ perm.T) - vals).max() <= 1e-12
 
 
 # -- multiplicative sampling --------------------------------------------------------
