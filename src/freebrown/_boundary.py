@@ -1,9 +1,16 @@
 """Machinery shared by the boundary solves of both flows, v_t(a) for
 x0 + c_t and r_t(theta) for u b_t: a blocked, safeguarded Newton root
-engine, the support components of a grid and the time check.
+engine, the exact support components and the time check.
+
+The support indicator of either flow is convex on each gap between
+neighbouring atoms, so a gap holds at most one outside interval and K atoms
+give at most K components (Biane 1997): ``outside_gaps`` finds those gaps
+and ``refine_endpoints`` bisects their ends.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -13,8 +20,10 @@ from .errors import NonpositiveTime, NumericalError
 BLOCK = 128
 #: Newton/bisection iterations per point before NumericalError
 MAX_ITER = 100
-#: endpoint bisection cap; a grid cell collapses to adjacent floats in ~50
+#: endpoint bisection cap; a unit bracket collapses to adjacent floats in ~55
 ENDPOINT_STEPS = 200
+#: Newton stop for a gap minimiser, relative to the gap length
+GAP_STEP_REL = 1e-9
 
 
 def check_time(t):
@@ -77,48 +86,30 @@ def refine_endpoints(is_inside, a_in, a_out):
     return a_out
 
 
-def support_intervals(grid, inside, is_inside, atoms):
-    """Support components on an increasing grid, as sorted (lo, hi) pairs.
+def outside_gaps(indicator, level, slope, left, right, w_left, w_right):
+    """Indices and minimisers of the gaps (left[i], right[i]) between
+    neighbouring atoms that hold an outside interval.
 
-    Each maximal run of ``inside`` grid points gives one interval whose ends
-    are refined against the neighbouring outside points; a run touching the
-    grid edge keeps the edge, since the support may go on past it. An atom
-    in the open grid range outside every interval lies in a component that
-    holds no grid point: it is bracketed by the nearest outside grid point
-    or refined end on each side and refined the same way. Two such atoms in
-    one grid cell may give overlapping brackets; those intervals are merged
-    (the boundary is trivial on any gap between them).
-    """
-    n = len(grid)
-    change = np.diff(np.concatenate(([0], inside.astype(np.int8), [0])))
-    starts = np.flatnonzero(change == 1)
-    ends = np.flatnonzero(change == -1) - 1
-    left, right = starts[starts > 0], ends[ends < n - 1]
-    edges = refine_endpoints(
-        is_inside,
-        np.concatenate((grid[left], grid[right])),
-        np.concatenate((grid[left - 1], grid[right + 1])),
-    )
-    lo, hi = grid[starts], grid[ends]
-    lo[starts > 0] = edges[: len(left)]
-    hi[ends < n - 1] = edges[len(left):]
+    The indicator is convex on a gap and infinite at its atoms, so it is at
+    most ``level`` on at most one interval, around its minimiser: the root
+    of the decreasing ``slope(x) -> (g, dg/dx)``, by Newton to GAP_STEP_REL
+    of the gap length L. Gaps where the end atoms alone keep it above
+    ``level``, (w_left^(1/3) + w_right^(1/3))^3 / L^2 > level, are skipped
+    unsolved. A gap is kept when the indicator at the minimiser is strictly
+    below ``level``, so both its ends bracket a sign change (a tangency
+    stays inside)."""
+    length = right - left
+    cl, cr = np.cbrt(w_left), np.cbrt(w_right)
+    i = np.flatnonzero(~((cl + cr) ** 3 > level * length**2))
+    lo, hi, tol = left[i], right[i], GAP_STEP_REL * length[i]
+    start = lo + length[i] * cl[i] / (cl[i] + cr[i])  # the two-atom minimiser
 
-    atoms = atoms[(atoms > grid[0]) & (atoms < grid[-1])]
-    lost = atoms[~np.any((atoms[:, None] >= lo) & (atoms[:, None] <= hi), axis=1)]
-    if len(lost):
-        outside = np.sort(np.concatenate((grid[~inside], edges)))
-        j = np.searchsorted(outside, lost)  # in 1..len-1: runs cover the rest
-        seeded = refine_endpoints(
-            is_inside, np.concatenate((lost, lost)),
-            np.concatenate((outside[j - 1], outside[j])),
-        )
-        lo = np.concatenate((lo, seeded[: len(lost)]))
-        hi = np.concatenate((hi, seeded[len(lost):]))
+    def evaluate(sl, x):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            g, dg = slope(x)
+            step = g / dg
+        return np.abs(step) <= tol[sl], g > 0.0, x - step
 
-    merged = []
-    for a, b in sorted(zip(lo.tolist(), hi.tolist())):
-        if merged and a < merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return tuple(map(tuple, merged))
+    m = solve_blocked(len(i), lambda sl: (lo[sl], hi[sl], start[sl], partial(evaluate, sl)))
+    kept = indicator(m) < level
+    return i[kept], m[kept]

@@ -28,10 +28,11 @@ of that law at psi_t(a) is v_t(a)/(pi t), and w_t = psi_t'/(2 pi t).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._boundary import check_time, solve_blocked, support_intervals
+from ._boundary import check_time, outside_gaps, refine_endpoints, solve_blocked
 from .errors import AtomDivision, OutsideSupport, ValidationError
 from .measures import SpectralMeasure, cauchy_transform
 from .quadrature import integrate_adaptive
@@ -176,10 +177,9 @@ class AdditiveProfile:
 def additive_profile(mu: SpectralMeasure, t: float, grid) -> AdditiveProfile:
     """Evaluate the profile on a strictly increasing grid.
 
-    Support intervals are the maximal grid runs with v > 0, their endpoints
-    refined by bisection on the exactly computable indicator
-    sum_j w_j/(a-x_j)^2 - 1/t (a run touching the grid edge keeps the edge),
-    plus the components around atoms that fall between grid points.
+    The support intervals are the exact components of {v_t > 0}, at most
+    one per atom, clipped to [grid[0], grid[-1]]: an interval cut by the
+    clip keeps the grid edge, since the support goes on past it.
     """
     mu.require_real("additive_profile")
     check_time(t)
@@ -187,10 +187,31 @@ def additive_profile(mu: SpectralMeasure, t: float, grid) -> AdditiveProfile:
     if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0):
         raise ValidationError("grid must be strictly increasing with >= 2 points")
     v, w, psi = _rows(mu, t, grid)
-    intervals = support_intervals(
-        grid, v > 0.0, lambda a: _sum_inv_sq(mu, a) > 1.0 / t, mu.locations
-    )
+    lo, hi = np.clip(_components(mu, t), grid[0], grid[-1])
+    intervals = tuple((a, b) for a, b in zip(lo.tolist(), hi.tolist()) if a < b)
     return AdditiveProfile(mu, t, grid, v, w, psi, intervals)
+
+
+def _components(mu, t):
+    """Ends (lo, hi) of the components of {sum_j w_j/(a-x_j)^2 > 1/t}: the
+    outside interval of each kept gap between atoms, found through the slope
+    sum_j w_j/(a-x_j)^3, and the two outer ends, within sqrt(t) of the
+    extreme atoms (bracketed at 2 sqrt(t), clear of rounding)."""
+    x, wj, level = mu.locations, mu.weights, 1.0 / t
+
+    def slope(a):
+        d = a[:, None] - x
+        inv = wj / d**3
+        return inv.sum(axis=1), -3.0 * (inv / d).sum(axis=1)
+
+    k, m = outside_gaps(partial(_sum_inv_sq, mu), level, slope, x[:-1], x[1:], wj[:-1], wj[1:])
+    r, n = 2.0 * np.sqrt(t), len(k)
+    ends = refine_endpoints(
+        lambda a: _sum_inv_sq(mu, a) > level,
+        np.concatenate((x[k], x[k + 1], x[[0, -1]])),
+        np.concatenate((m, m, [x[0] - r, x[-1] + r])),
+    )
+    return np.append(ends[-2], ends[n:-2]), np.append(ends[:n], ends[-1])
 
 
 # -- integrals over the support ----------------------------------------------

@@ -15,7 +15,7 @@ import argparse
 import json
 import platform
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -222,13 +222,7 @@ def _run_compare(config: RunConfig):
 
 def _run_check_haar(config: RunConfig):
     check = multiplicative.haar_annulus_check(config.t)
-    payload = {
-        "t": check.t,
-        "radii": [float(r) for r in check.radii],
-        "cdf_stransform": [float(c) for c in check.cdf_stransform],
-        "cdf_radial": [float(c) for c in check.cdf_radial],
-        "max_discrepancy": check.max_discrepancy,
-    }
+    payload = {k: np.asarray(v).tolist() for k, v in asdict(check).items()}
     if config.out:
         _write_json(config.out, payload)
         _write_manifest(config.out, config)
@@ -248,7 +242,8 @@ def _build_parser():
     sub = p.add_subparsers(dest="topcmd", required=True)
 
     def add_common(sp):
-        sp.add_argument("--measure", required=True, help="measure JSON file")
+        sp.add_argument("--measure", dest="measure_path", metavar="MEASURE", required=True,
+                        help="measure JSON file")
         sp.add_argument("--t", type=float, required=True, help="flow time > 0")
         sp.add_argument("--out", required=True, help="output path")
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -279,7 +274,7 @@ def _build_parser():
 
     pcmp = sub.add_parser("compare", help="empirical vs computed marginal CDF")
     pcmp.add_argument("--spectrum", required=True, help="eigenvalue CSV from simulate")
-    pcmp.add_argument("--measure", required=True)
+    pcmp.add_argument("--measure", dest="measure_path", metavar="MEASURE", required=True)
     pcmp.add_argument("--marginal", required=True, choices=[rmt.REAL_PART, rmt.ARGUMENT, rmt.RADIUS])
     pcmp.add_argument("--grid", help="additive grid lo:hi:n")
     pcmp.add_argument("--n-theta", type=int)
@@ -296,20 +291,9 @@ def _build_parser():
 
 def _config_from_args(args) -> RunConfig:
     sub = getattr(args, "subcmd", None)
-    command = f"{args.topcmd}-{sub}" if sub else args.topcmd
     return RunConfig(
-        command=command,
-        measure_path=getattr(args, "measure", None),
-        t=getattr(args, "t", None),
-        grid=getattr(args, "grid", None),
-        n_theta=getattr(args, "n_theta", None),
-        n=getattr(args, "n", None),
-        steps=getattr(args, "steps", None),
-        seed=getattr(args, "seed", None),
-        out=getattr(args, "out", None),
-        spectrum=getattr(args, "spectrum", None),
-        marginal=getattr(args, "marginal", None),
-        format=getattr(args, "format", None),
+        command=f"{args.topcmd}-{sub}" if sub else args.topcmd,
+        **{f.name: getattr(args, f.name, None) for f in fields(RunConfig) if f.name != "command"},
     )
 
 
@@ -329,14 +313,9 @@ def _merge_dash_values(argv):
     """Fold ``--grid -2:2:801`` into ``--grid=-2:2:801`` so argparse does not
     mistake the negative lower bound for an option."""
     out = []
-    skip = False
-    for i, arg in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if arg == "--grid" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"--grid={argv[i + 1]}")
-            skip = True
+    for arg in argv:
+        if out and out[-1] == "--grid" and arg.startswith("-"):
+            out[-1] = f"--grid={arg}"
         else:
             out.append(arg)
     return out

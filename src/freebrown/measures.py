@@ -138,16 +138,12 @@ class SpectralMeasure:
     def is_haar(self):
         return self.kind == HAAR
 
-    @property
-    def on_circle(self):
-        return self.kind in (CIRCLE_ATOMIC, HAAR)
-
     def require_real(self, what="operation"):
         if self.kind != REAL_ATOMIC:
             raise WrongSupport(f"{what} needs a real-atomic measure, got {self.kind}")
 
     def require_circle(self, what="operation"):
-        if not self.on_circle:
+        if self.kind not in (CIRCLE_ATOMIC, HAAR):
             raise WrongSupport(f"{what} needs a circle measure, got {self.kind}")
 
     @property
@@ -232,19 +228,6 @@ def measure_from_dict(data) -> SpectralMeasure:
         )
     ws = ws / total
     return SpectralMeasure(kind, locs, ws)
-
-
-def measure_to_dict(mu: SpectralMeasure) -> dict:
-    if mu.is_haar:
-        return {"kind": HAAR, "atoms": []}
-    key = "x" if mu.kind == REAL_ATOMIC else "theta"
-    return {
-        "kind": mu.kind,
-        "atoms": [
-            {key: float(x), "w": float(w)}
-            for x, w in zip(mu.locations, mu.weights)
-        ],
-    }
 
 
 def load_measure(path) -> SpectralMeasure:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._boundary import BLOCK, check_time, solve_blocked, support_intervals
+from ._boundary import BLOCK, check_time, outside_gaps, refine_endpoints, solve_blocked
 from .errors import InvalidRadius, OutsideU, PoleAtAtom, ValidationError, ZeroLambda
 from .measures import SpectralMeasure, reflect_circle_measure
 from .quadrature import integrate_adaptive
@@ -280,9 +280,9 @@ def density_w_theta(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
 class MultiplicativeProfile:
     """Per-angle rows (theta, r, phi, w, arg_density) plus the U_t arcs.
 
-    ``u_components`` are maximal open arcs within the principal interval
-    (-pi, pi]; a component of U_t crossing the cut at +-pi shows up as two
-    entries, and the full circle (e.g. Haar) as the single arc (-pi, pi).
+    ``u_components`` are the exact arcs of U_t (at most K + 1, whatever the
+    angle grid) within (-pi, pi]: a component crossing the cut at +-pi shows
+    up as two arcs, the full circle (e.g. Haar) as the single arc (-pi, pi).
     Rows with r = 1 sit outside U_t: w and arg_density are 0 there and phi
     holds the boundary continuation of the angle map.
     """
@@ -312,19 +312,45 @@ def multiplicative_profile(mu: SpectralMeasure, t: float, n_theta: int) -> Multi
     thetas = np.linspace(-np.pi, np.pi, n_theta + 1)[1:]
 
     r, phi, w, _ = _rows(mu_bar, t, thetas)
-    # runs on the grid extended by -pi, the grid angle pi seen across the
-    # cut: a component crossing the cut gives two arcs meeting at +-pi, and
-    # a run ending at pi whose endpoint lies just beyond gives the sliver
-    # (-pi, endpoint - 2 pi); the unitary's atom angles, the poles of
-    # f(1-, theta), seed the arcs that hold no grid angle
-    comps = support_intervals(
-        np.concatenate(([-np.pi], thetas)), np.concatenate(([r[-1] < 1.0], r < 1.0)),
-        lambda th: f_limit_at_circle(mu_bar, th) > 1.0 / t,
-        mu.locations,
-    )
     return MultiplicativeProfile(
-        mu, mu_bar, t, thetas, r, phi, w, _arg_density(r, w), comps
+        mu, mu_bar, t, thetas, r, phi, w, _arg_density(r, w), _u_components(mu, mu_bar, t)
     )
+
+
+def _u_components(mu, mu_bar, t):
+    """Arcs of U_t = {f(1-, theta) > 1/t} in (-pi, pi]: the outside arc of
+    each kept gap between atom angles comes from the slope
+    sum_j w_j cos(h_j)/sin(h_j)^3, h_j = (theta - alpha_j)/2. The last gap
+    runs from alpha_K to alpha_1 + 2 pi; the one bracket of its ends that
+    crosses the cut is cut at pi, on the side where the sign changes, so
+    every end is bisected in (-pi, pi]."""
+    if mu.is_haar:
+        return ((-np.pi, np.pi),)
+    alpha, level = mu.locations, 1.0 / t
+    right = np.append(alpha[1:], alpha[0] + 2.0 * np.pi)
+
+    def indicator(th):  # th - 2 pi is exact for th in [pi, 4 pi]
+        return f_limit_at_circle(mu_bar, np.where(th > np.pi, th - 2.0 * np.pi, th))
+
+    def slope(th):
+        h = 0.5 * (th[:, None] + mu_bar.locations)
+        s, c = np.sin(h), np.cos(h)
+        q = mu_bar.weights / s**3
+        return (q * c).sum(axis=1), -0.5 * (q * (1.0 + 2.0 * c * c) / s).sum(axis=1)
+
+    # a lone atom ends its own gap on both sides, half its weight at each
+    w = mu.weights / (2.0 if len(alpha) == 1 else 1.0)
+    k, m = outside_gaps(indicator, level, slope, alpha, right, w, np.roll(w, -1))
+    # rows: the inside and the outside end of each bracket
+    brackets = np.array([np.concatenate((alpha[k], right[k])), np.concatenate((m, m))])
+    cross = (brackets.min(axis=0) < np.pi) & (brackets.max(axis=0) > np.pi)
+    brackets[0 if indicator(np.array([np.pi]))[0] > level else 1, cross] = np.pi
+    brackets[:, brackets.max(axis=0) > np.pi] -= 2.0 * np.pi
+    ends, n, arcs = refine_endpoints(lambda th: indicator(th) > level, *brackets), len(k), []
+    # the arc before kept gap i starts where the outside arc of gap i-1 ends
+    for lo, hi in zip(np.roll(ends[n:], 1).tolist(), ends[:n].tolist()):
+        arcs += [(lo, hi)] if lo < hi else [(lo, np.pi), (-np.pi, hi)]
+    return tuple(sorted(arcs)) or ((-np.pi, np.pi),)
 
 
 def mult_law_density(mu: SpectralMeasure, t: float, theta: float):

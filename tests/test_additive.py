@@ -187,10 +187,11 @@ def test_profile_disk_support():
 
 
 def test_profile_two_atom_intervals():
-    # t=1 merges the components; endpoints are sign changes of
+    # t=1 merges the components (the two end atoms alone keep the sum
+    # above 1/t on the gap); endpoints are sign changes of
     # sum w_j/(a-x_j)^2 - 1/t, checked against a brute scan
     prof = additive_profile(TWO, 1.0, np.linspace(-3, 3, 1201))
-    assert 1 <= len(prof.support_intervals) <= 2
+    assert len(prof.support_intervals) == 1
     for lo, hi in prof.support_intervals:
         for edge in (lo, hi):
             assert v_t(TWO, 1.0, edge) <= 1e-10

@@ -1,8 +1,7 @@
 """The shared boundary engine: Newton roots of v_t and r_t against plain
-bisection references, the iteration cap, and support components that hold
-no grid point."""
+bisection references, the iteration cap, and the exact support components,
+which depend on the atoms and t but not on the grid."""
 
-import json
 import math
 
 import numpy as np
@@ -10,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebrown import _boundary
+from freebrown import _boundary, additive, multiplicative
 from freebrown.additive import additive_profile, v_t_array
-from freebrown.cli import main
+from freebrown.cli import _parse_grid
 from freebrown.errors import NumericalError
 from freebrown.measures import SpectralMeasure, reflect_circle_measure
-from freebrown.multiplicative import multiplicative_profile, r_t_array, total_mass
+from freebrown.multiplicative import multiplicative_profile, r_t_array
 
 #: residual target of both solves, relative to 1/t
 RESIDUAL = 1e-12
@@ -25,8 +24,8 @@ SLACK = 1e-14
 AGREE = 1e-10
 
 
-def atoms(lo, hi):
-    return st.integers(1, 4).flatmap(
+def atoms(lo, hi, k_max=4):
+    return st.integers(1, k_max).flatmap(
         lambda k: st.tuples(
             st.lists(st.floats(lo, hi), min_size=k, max_size=k, unique=True),
             st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k),
@@ -159,43 +158,75 @@ def test_iteration_cap_raises(monkeypatch):
         r_t_array(reflect_circle_measure(ASYM), 0.8, np.linspace(0.5, 2.0, 9))
 
 
-def _dense(kind):
-    rng = np.random.default_rng(5)
+# -- exact support components ------------------------------------------------------
+
+
+def _dense(seed, kind, lo, hi):
+    rng = np.random.default_rng(seed)
     w = rng.dirichlet(np.ones(200))
-    if kind == "real":
-        return SpectralMeasure.real_atomic(rng.uniform(-2, 2, 200), w)
-    return SpectralMeasure.circle_atomic(rng.uniform(-np.pi, np.pi, 200), w)
+    return SpectralMeasure(kind, rng.uniform(lo, hi, 200), w)
 
 
-# -- support components without grid points ----------------------------------------
+def test_found_components_do_not_depend_on_the_grid():
+    """200 atoms at t = 0.05: 39 components on the CLI's default grid and on
+    a 101-point grid over the same range. Grid runs took two of them for
+    one, across an outside gap that held no grid point, and gave 38."""
+    mu, t = _dense(1, "real-atomic", -3, 3), 0.05
+    grid = _parse_grid(None, mu, t)
+    prof = additive_profile(mu, t, grid)
+    coarse = additive_profile(mu, t, np.linspace(grid[0], grid[-1], 101))
+    assert len(prof.support_intervals) == 39
+    assert coarse.support_intervals == prof.support_intervals
+    assert abs(additive.total_mass(prof) - 1.0) <= 1e-9
 
 
-def test_lost_component_is_seeded_by_its_atom(tmp_path, capsys):
-    """200 atoms at t = 0.05 on the CLI's default grid: the component around
-    the atom near 0.17534 holds no grid point, and without it the mass was
-    0.999858."""
-    rng = np.random.default_rng(1)
-    w = rng.dirichlet(np.ones(200))
-    x = rng.uniform(-3, 3, 200)
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(
-        {"kind": "real-atomic", "atoms": [{"x": float(a), "w": float(b)} for a, b in zip(x, w)]}
-    ))
-    out = tmp_path / "d.csv"
-    assert main(["additive", "density", "--measure", str(path), "--t", "0.05",
-                 "--out", str(out)]) == 0
-    mass = float(capsys.readouterr().out.split("mass=")[1].split()[0])
-    assert mass == pytest.approx(1.0, abs=1e-6)
-    atom = x[np.argmin(np.abs(x - 0.17534))]
-    intervals = json.loads((tmp_path / "d.csv.intervals.json").read_text())["intervals"]
-    assert any(lo < atom < hi for lo, hi in intervals)
-
-
-def test_lost_arcs_are_seeded_by_their_atoms():
-    """The same on the circle at t = 0.02: three arcs hold no grid angle,
-    and without them the mass was 0.99994."""
-    mu = _dense("circle")
+def test_lost_arcs_do_not_depend_on_the_grid():
+    """The same on the circle at t = 0.02: 75 arcs at 1441 and at 181 grid
+    angles, where grid runs found 73."""
+    mu = _dense(5, "circle-atomic", -np.pi, np.pi)
     prof = multiplicative_profile(mu, 0.02, 1441)
-    for th in mu.locations:
-        assert any(lo < th < hi for lo, hi in prof.u_components)
-    assert total_mass(prof) == pytest.approx(1.0, abs=1e-6)
+    assert len(prof.u_components) == 75
+    assert multiplicative_profile(mu, 0.02, 181).u_components == prof.u_components
+    assert abs(multiplicative.total_mass(prof) - 1.0) <= 1e-9
+
+
+def _ends_change_sign(intervals, indicator, level, skip):
+    """Each end e off ``skip`` has indicator(e) <= level < indicator(next
+    float inward), up to the rounding of the engine's sums."""
+    for lo, hi in intervals:
+        assert lo < hi
+        for end, inward in ((lo, hi), (hi, lo)):
+            if end in skip:
+                continue
+            assert indicator(end) <= level * (1 + SLACK)
+            assert indicator(np.nextafter(end, inward)) > level * (1 - SLACK)
+
+
+@settings(max_examples=40, deadline=None)
+@given(atoms(-3, 3, 6), st.floats(0.02, 3.0))
+def test_additive_components_from_atoms(lw, t):
+    """At most K components, each end a sign change of the fsum indicator,
+    the same on a fine and a coarse grid."""
+    mu = SpectralMeasure.real_atomic(lw[0], _weights(lw[1]))
+    half = float(np.max(np.abs(mu.locations))) + 2.0 * np.sqrt(t)
+    prof = additive_profile(mu, t, np.linspace(-half, half, 401))
+    intervals = prof.support_intervals
+    assert 1 <= len(intervals) <= len(mu.locations)
+    assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
+    _ends_change_sign(intervals, lambda a: _sum_exact(mu, a, 0.0), 1.0 / t, (-half, half))
+    assert additive_profile(mu, t, np.linspace(-half, half, 37)).support_intervals == intervals
+
+
+@settings(max_examples=40, deadline=None)
+@given(atoms(-3.1, 3.1, 6), st.floats(0.02, 3.0))
+def test_multiplicative_components_from_atoms(lw, t):
+    """At most K + 1 arcs (a component crossing the cut counts twice), each
+    end off the cut a sign change of the fsum indicator, the same at two
+    grid sizes."""
+    mu = SpectralMeasure.circle_atomic(lw[0], _weights(lw[1]))
+    mu_bar = reflect_circle_measure(mu)
+    arcs = multiplicative_profile(mu, t, 181).u_components
+    assert 1 <= len(arcs) <= len(mu.locations) + 1
+    assert all(a[1] <= b[0] for a, b in zip(arcs, arcs[1:]))
+    _ends_change_sign(arcs, lambda th: _f_limit_exact(mu_bar, th), 1.0 / t, (-np.pi, np.pi))
+    assert multiplicative_profile(mu, t, 64).u_components == arcs
