@@ -1,6 +1,7 @@
 """Machinery shared by the boundary solves of both flows, v_t(a) for
 x0 + c_t and r_t(theta) for u b_t: a blocked, safeguarded Newton root
-engine, the exact support components and the time check.
+engine that takes each block's support test with its problem, the exact
+support components and the time check.
 
 The support indicator of either flow is convex on each gap between
 neighbouring atoms, so a gap holds at most one outside interval and K atoms
@@ -27,24 +28,28 @@ GAP_STEP_REL = 1e-9
 
 
 def check_time(t):
-    if not t > 0:
-        raise NonpositiveTime(f"t must be > 0, got {t}")
+    if not 0 < t < np.inf:
+        raise NonpositiveTime(f"t must be finite and > 0, got {t}")
 
 
 def solve_blocked(n, block_problem):
-    """Roots of ``n`` independent monotone equations, BLOCK at a time.
+    """Roots of ``n`` independent monotone equations, BLOCK at a time; a
+    point without one gets the trivial root 0 (v_t = 0 in s = v^2, r_t = 1
+    in x = -log r).
 
     ``block_problem(sl)`` sets up the points of the slice ``sl`` and returns
-    ``(lo, hi, x, evaluate)``: brackets holding the roots, first iterates
+    ``(inside, lo, hi, x, evaluate)``: the mask of the points that have a
+    root and, for those rows only, brackets holding the roots, first iterates
     inside them, and ``evaluate(x) -> (done, below, newton)``, which says
     whether x meets the residual target, whether the root lies above x, and
     gives the Newton candidate from x. Frozen points stay in the block: the
     evaluations wasted on them cost less than compacting its arrays.
     """
-    out = np.empty(n)
+    out = np.zeros(n)
     for start in range(0, n, BLOCK):
         sl = slice(start, start + BLOCK)
-        out[sl] = _solve_block(*block_problem(sl))
+        inside, *problem = block_problem(sl)
+        out[sl][inside] = _solve_block(*problem)
     return out
 
 
@@ -110,6 +115,9 @@ def outside_gaps(indicator, level, slope, left, right, w_left, w_right):
             step = g / dg
         return np.abs(step) <= tol[sl], g > 0.0, x - step
 
-    m = solve_blocked(len(i), lambda sl: (lo[sl], hi[sl], start[sl], partial(evaluate, sl)))
+    def block(sl):
+        return np.ones(len(lo[sl]), bool), lo[sl], hi[sl], start[sl], partial(evaluate, sl)
+
+    m = solve_blocked(len(i), block)
     kept = indicator(m) < level
     return i[kept], m[kept]

@@ -56,15 +56,13 @@ def v_t_array(mu: SpectralMeasure, t: float, a) -> np.ndarray:
     and concave, so Newton started below the root climbs to it without
     overshooting. The start s_0 = max(0, max_j(t w_j - d_j^2)) is below the
     root (each term alone is at most 1/t there), exact for one atom and
-    positive at an atom. The root never exceeds t since S(s) <= 1/s.
+    positive at an atom. The root never exceeds t since S(s) <= 1/s. Each
+    block builds d_j^2 once, for the support test S(0) > 1/t and the solve.
     """
     mu.require_real("v_t")
     check_time(t)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     target = 1.0 / t
-    inside = _sum_inv_sq(mu, a) > target
-    v = np.zeros_like(a)
-    ai = a[inside]
     wj = mu.weights[None, :]
 
     def evaluate(s, d2):
@@ -77,12 +75,14 @@ def v_t_array(mu: SpectralMeasure, t: float, a) -> np.ndarray:
         return done, S > target, s + t * S * (S - target) / B
 
     def block(sl):
-        d2 = (ai[sl, None] - mu.locations[None, :]) ** 2
+        d2 = (a[sl, None] - mu.locations[None, :]) ** 2
+        with np.errstate(divide="ignore", over="ignore"):  # +inf at an atom
+            inside = (wj / d2).sum(axis=1) > target
+        d2 = d2[inside]
         s0 = np.maximum(0.0, np.max(t * wj - d2, axis=1))
-        return s0, np.full_like(s0, t), s0, lambda s: evaluate(s, d2)
+        return inside, s0, t, s0, lambda s: evaluate(s, d2)
 
-    v[inside] = np.sqrt(solve_blocked(len(ai), block))
-    return v
+    return np.sqrt(solve_blocked(len(a), block))
 
 
 def v_t(mu: SpectralMeasure, t: float, a: float) -> float:

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__, additive, multiplicative, rmt
+from ._boundary import check_time
 from .errors import NumericalError, ValidationError
 from .measures import load_measure
 
@@ -47,8 +48,8 @@ class RunConfig:
     format: str | None = None
 
     def validate(self):
-        if self.t is not None and not self.t > 0:
-            raise ValidationError(f"t must be > 0, got {self.t}")
+        if self.t is not None:
+            check_time(self.t)
         if self.n_theta is not None and self.n_theta < 16:
             raise ValidationError("n_theta must be >= 16")
         if self.out is not None and not str(self.out):

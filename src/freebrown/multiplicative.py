@@ -46,8 +46,6 @@ from .quadrature import integrate_adaptive
 R_RESIDUAL_REL = 1e-12
 #: upper bracket: roots are separated from 1 by the f(1-,theta) > 1/t margin
 R_BRACKET_HI = 1.0 - 1e-15
-#: halvings of the lower bracket from 1/2 (f(r) ~ 1/(-2 log r) as r -> 0)
-R_BRACKET_HALVINGS = 200
 
 
 def _g(r):
@@ -70,11 +68,6 @@ def _g_prime(r):
     return np.where(u < 1e-4, series, direct)
 
 
-def _den(r, u):
-    """1 - 2 r cos u + r^2 written as (1-r)^2 + 4 r sin^2(u/2)."""
-    return (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * u) ** 2
-
-
 def f_value(mu_bar: SpectralMeasure, r: float, theta: float) -> float:
     """f(r, theta); canonicalized through f(r) = f(1/r) for r > 1.
 
@@ -87,8 +80,8 @@ def f_value(mu_bar: SpectralMeasure, r: float, theta: float) -> float:
         r = 1.0 / r
     if mu_bar.is_haar:
         return float(1.0 / (-2.0 * np.log(r)))
-    u = float(theta) + mu_bar.locations
-    return float(_g(r) * np.sum(mu_bar.weights / _den(r, u)))
+    D = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * (float(theta) + mu_bar.locations)) ** 2
+    return float(_g(r) * np.sum(mu_bar.weights / D))
 
 
 def f_limit_at_circle(mu_bar: SpectralMeasure, theta) -> np.ndarray:
@@ -127,8 +120,11 @@ def r_t_array(mu_bar: SpectralMeasure, t: float, thetas) -> np.ndarray:
 
     The iterate is x, and f is formed from x (1 - r = -expm1(-x)), so the
     residual target is met even where 1 - r is too small for the float r
-    to carry it; r = e^{-x} is then its correct rounding. The bracket runs
-    from R_BRACKET_HI down to the first halving of r = 1/2 with f < 1/t.
+    to carry it; r = e^{-x} is then its correct rounding. Each block builds
+    q4 = 4 sin^2(u/2) once, for the test f(1-, theta) = sum_j w_j/q4_j > 1/t
+    and the solve. The bracket runs from R_BRACKET_HI to the closed form
+    x_hi = t/4 + sqrt(t^2/16 + t): D >= (1-r)^2 gives f <= 1/(2x tanh(x/2)),
+    and tanh y >= y/(1+y) bounds that by (2+x)/(2x^2) <= 1/t for x >= x_hi.
     """
     mu_bar.require_circle("r_t")
     check_time(t)
@@ -136,10 +132,8 @@ def r_t_array(mu_bar: SpectralMeasure, t: float, thetas) -> np.ndarray:
     if mu_bar.is_haar:
         return np.full_like(th, np.exp(-0.5 * t))
     target = 1.0 / t
-    inside = f_limit_at_circle(mu_bar, th) > target
-    r = np.ones_like(th)
-    thi = th[inside]
     wj = mu_bar.weights[None, :]
+    lo, hi = -np.log(R_BRACKET_HI), 0.25 * t + np.sqrt(t * t / 16.0 + t)
 
     def evaluate(x, q4):
         rr = np.exp(-x)
@@ -159,19 +153,14 @@ def r_t_array(mu_bar: SpectralMeasure, t: float, thetas) -> np.ndarray:
         return done, f > target, x + f * (1.0 - t * f) / f_x
 
     def block(sl):
-        u = thi[sl, None] + mu_bar.locations[None, :]
+        u = th[sl, None] + mu_bar.locations[None, :]
         q4 = 4.0 * np.sin(0.5 * u) ** 2
-        hi = np.full(len(q4), np.log(2.0))
-        for _ in range(R_BRACKET_HALVINGS):
-            bad = evaluate(hi, q4)[1]
-            if not np.any(bad):
-                break
-            hi = np.where(bad, hi + np.log(2.0), hi)
-        lo = np.full_like(hi, -np.log(R_BRACKET_HI))
-        return lo, hi, np.clip(0.5 * t, lo, hi), lambda x: evaluate(x, q4)
+        with np.errstate(divide="ignore", over="ignore"):  # +inf at an atom
+            inside = (wj / q4).sum(axis=1) > target
+        q4 = q4[inside]
+        return inside, lo, hi, np.full(len(q4), max(0.5 * t, lo)), lambda x: evaluate(x, q4)
 
-    r[inside] = np.exp(-solve_blocked(len(thi), block))
-    return r
+    return np.exp(-solve_blocked(len(th), block))
 
 
 def r_t(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
@@ -216,16 +205,19 @@ def _rows(mu_bar, t, thetas):
 
 
 def _block_rows(mu_bar, t, th, r):
-    """(m, w) at angles ``th`` with boundary radii ``r``."""
-    u = th[:, None] + mu_bar.locations[None, :]
+    """(m, w) at angles ``th`` with radii ``r``, from one sin and cos of h = u/2:
+    q4 = 4 sin^2 h, D = (1-r)^2 + r q4, sin u = 2 sin h cos h, cos u = 1 - q4/2."""
+    h = 0.5 * (th[:, None] + mu_bar.locations[None, :])
+    sh, ch = np.sin(h), np.cos(h)
+    q4 = 4.0 * sh * sh
     wj = mu_bar.weights[None, :]
-    D = _den(r[:, None], u)
+    D = (1.0 - r[:, None]) ** 2 + r[:, None] * q4
     D2 = D * D
-    su = np.sin(u)
+    su = 2.0 * sh * ch
     m = 2.0 * r * (wj * su / D).sum(axis=1)
     S1 = (wj / D).sum(axis=1)
     Ssin_D2 = (wj * su / D2).sum(axis=1)
-    Scos_D2 = (wj * np.cos(u) / D2).sum(axis=1)
+    Scos_D2 = (wj * (1.0 - 0.5 * q4) / D2).sum(axis=1)
     S_D2 = (wj / D2).sum(axis=1)
     # g(1) = 0/0: the derivative terms are NaN outside U_t, masked below
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,6 +14,11 @@ import numpy as np
 
 from .errors import QuadratureNonconvergence
 
+#: panel doublings before QuadratureNonconvergence
+MAX_DOUBLINGS = 18
+#: Simpson panels of the first estimate
+INITIAL_PANELS = 8
+
 
 def _simpson(vals, h):
     """Composite Simpson over equally spaced values (odd count), per column."""
@@ -22,22 +27,14 @@ def _simpson(vals, h):
     )
 
 
-def integrate_adaptive(
-    f,
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-8,
-    abs_floor: float = 1e-12,
-    max_doublings: int = 18,
-    initial_panels: int = 8,
-):
+def integrate_adaptive(f, lo: float, hi: float, rel_tol: float = 1e-8, abs_floor: float = 1e-12):
     """Integrate a vectorized (possibly vector-valued) integrand over [lo, hi].
 
     ``f`` maps a 1-d array of abscissas to an array of shape ``(n,)`` or
     ``(n, m)``; all ``m`` components must individually meet the convergence
     criterion ``|R_k - R_{k-1}| <= max(rel_tol * |R_k|, abs_floor)``.
 
-    Raises QuadratureNonconvergence after ``max_doublings`` refinements.
+    Raises QuadratureNonconvergence after MAX_DOUBLINGS refinements.
     """
     if hi <= lo:
         raise ValueError("empty or inverted integration interval")
@@ -52,14 +49,14 @@ def integrate_adaptive(
             return vals * weight
         return vals * weight[:, None]
 
-    n_nodes = 2 * initial_panels + 1
+    n_nodes = 2 * INITIAL_PANELS + 1
     s = np.linspace(-1.0, 1.0, n_nodes)
     vals = substituted(s)
     h = 2.0 / (n_nodes - 1)
     simpson_prev = _simpson(vals, h)
     richardson_prev = None
 
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         new_s = (s[:-1] + s[1:]) / 2.0
         new_vals = substituted(new_s)
         merged = np.empty((len(s) + len(new_s),) + vals.shape[1:], dtype=float)
@@ -79,5 +76,5 @@ def integrate_adaptive(
         richardson_prev = richardson
 
     raise QuadratureNonconvergence(
-        f"no convergence on [{lo}, {hi}] after {max_doublings} doublings"
+        f"no convergence on [{lo}, {hi}] after {MAX_DOUBLINGS} doublings"
     )

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._boundary import check_time
 from .additive import AdditiveProfile
 from .errors import (
     EigenSolverFailure,
@@ -162,8 +163,7 @@ def additive_matrix(mu: SpectralMeasure, n: int, t: float, seed: int) -> np.ndar
     mu.require_real("additive_matrix")
     if n < 2:
         raise ValidationError("n must be >= 2")
-    if not t > 0:
-        raise NonpositiveTime(f"t must be > 0, got {t}")
+    check_time(t)
     rng = np.random.default_rng(seed)
     counts = allocate_atom_counts(mu.weights, n)
     diag = np.repeat(mu.locations, counts).astype(complex)
@@ -190,8 +190,7 @@ def multiplicative_flow(mu: SpectralMeasure, n: int, t: float, steps: int, seed:
         raise ValidationError("n must be >= 2")
     if steps < 100:
         raise ValidationError("steps must be >= 100")
-    if not t > 0:
-        raise NonpositiveTime(f"t must be > 0, got {t}")
+    check_time(t)
     rng = np.random.default_rng(seed)
     if mu.is_haar:
         u = haar_unitary(n, rng)
@@ -320,6 +319,7 @@ def load_spectrum(path, meta: dict) -> EmpiricalSpectrum:
     except (ValueError, TypeError, KeyError, IndexError) as exc:
         raise ValidationError(f"unreadable spectrum file {path}: {exc}") from exc
     try:
+        check_time(float(meta["t"]))
         return EmpiricalSpectrum(
             eig,
             int(meta["n"]),
@@ -328,5 +328,5 @@ def load_spectrum(path, meta: dict) -> EmpiricalSpectrum:
             int(meta["seed"]),
             None if meta.get("steps") is None else int(meta["steps"]),
         )
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError, NonpositiveTime) as exc:
         raise ValidationError(f"bad spectrum metadata for {path}: {exc!r}") from exc

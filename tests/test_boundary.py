@@ -116,11 +116,12 @@ def _f_limit_exact(mu_bar, theta):
 
 
 @settings(max_examples=40, deadline=None)
-@given(atoms(-3.1, 3.1), st.floats(0.05, 3.0), st.integers(0, 2**32 - 1))
+@given(atoms(-3.1, 3.1), st.floats(0.05, 3.0) | st.floats(250.0, 1000.0), st.integers(0, 2**32 - 1))
 def test_r_newton_matches_bisection_reference(lw, t, seed):
     """As for v_t, in x = -log r: r < 1 exactly where f(1-, theta) > 1/t;
     there the fsum residual meets the target and x agrees to 1e-10 with a
-    plain bisection of the residual window."""
+    plain bisection of the residual window. Large t (250 to 1000) puts the
+    root near x = t/2, inside the [0, 700] bisection window."""
     mu = SpectralMeasure.circle_atomic(lw[0], _weights(lw[1]))
     mu_bar = reflect_circle_measure(mu)
     prof = multiplicative_profile(mu, t, 181)

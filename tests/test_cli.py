@@ -176,12 +176,27 @@ def test_wrong_kind_exit_code(tmp_path, capsys):
 
 
 def test_bad_time_exit_code(tmp_path, capsys):
-    mpath = write_measure(tmp_path, DELTA0, "d0.json")
-    code = main(
-        ["additive", "density", "--measure", mpath, "--t", "-1",
-         "--out", str(tmp_path / "x.csv")]
-    )
-    assert code == 2
+    """A time that is not finite and > 0 is rejected up front (exit 2),
+    before any solve or quadrature sees it."""
+    for flow, doc in (("additive", DELTA0), ("mult", CIRCLE)):
+        mpath = write_measure(tmp_path, doc, f"{flow}.json")
+        for t in ("-1", "inf"):
+            code = main(
+                [flow, "density", "--measure", mpath, "--t", t,
+                 "--out", str(tmp_path / "x.csv")]
+            )
+            assert code == 2
+            assert "t must be" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def test_large_time_mult_density(tmp_path, capsys):
+    """At t = 300 the r_t root lies near x = -log r = 150 on the whole
+    circle: the solve converges there and the mass gate passes."""
+    doc = {"kind": "circle-atomic", "atoms": [{"theta": 0.4, "w": 0.5}, {"theta": 2.0, "w": 0.5}]}
+    mpath = write_measure(tmp_path, doc, "c2.json")
+    argv = ["mult", "density", "--measure", mpath, "--t", "300", "--n-theta", "64"]
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
+    assert "arcs=1" in capsys.readouterr().out
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -260,6 +275,19 @@ def test_malformed_spectrum_metadata_exit_code(tmp_path, capsys):
         meta.write_text(json.dumps(doc))
         assert main(argv) == 2
         assert "metadata" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def test_nonpositive_spectrum_time_exit_code(tmp_path, capsys):
+    """A spectrum whose metadata holds t = -1 is refused as bad metadata
+    before the profile grid is built from sqrt(t)."""
+    mpath = write_measure(tmp_path, DELTA0, "d0.json")
+    eig = tmp_path / "s.csv"
+    eig.write_text("re,im\n0.5,0.25\n-0.5,0.5\n")
+    meta = {"model": "additive", "n": 2, "t": -1, "seed": 1, "steps": None}
+    (tmp_path / "s.csv.meta.json").write_text(json.dumps(meta))
+    argv = ["compare", "--spectrum", str(eig), "--measure", mpath, "--marginal", "real-part"]
+    assert main(argv) == 2
+    assert "metadata" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
 def test_directory_as_input_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freebrown import quadrature
 from freebrown.errors import QuadratureNonconvergence
 from freebrown.quadrature import integrate_adaptive
 
@@ -25,9 +26,10 @@ def test_vector_valued_integrand():
     assert val[1] == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
-def test_depth_cap_raises():
+def test_depth_cap_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 1)
     with pytest.raises(QuadratureNonconvergence):
-        integrate_adaptive(np.sin, 0.0, np.pi, max_doublings=1)
+        integrate_adaptive(np.sin, 0.0, np.pi)
 
 
 def test_empty_interval_rejected():
