@@ -17,7 +17,7 @@ import pathlib
 
 import numpy as np
 
-from freebrown.additive import additive_profile, psi_t_array, v_t_array
+from freebrown.additive import additive_profile, psi_t_array
 from freebrown.cli import write_rows
 from freebrown.measures import SpectralMeasure
 from freebrown.rmt import sample_additive
@@ -49,7 +49,7 @@ def main():
                [prof.grid, prof.v, -prof.v])
 
     # push the eigenvalues to the real line: Psi(a+ib) = psi_t(a)
-    pushed = psi_t_array(mu, args.t, eig.real, v_t_array(mu, args.t, eig.real))
+    pushed = psi_t_array(mu, args.t, eig.real)
     write_rows(out / "pushforward.csv", "csv", ["value"], [pushed])
 
     hit = prof.v > 0

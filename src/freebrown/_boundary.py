@@ -1,7 +1,8 @@
 """Machinery shared by the boundary solves of both flows, v_t(a) for
-x0 + c_t and r_t(theta) for u b_t: a blocked, safeguarded Newton root
-engine that takes each block's support test with its problem, the exact
-support components and the time check.
+x0 + c_t and r_t(theta) for u b_t: a safeguarded Newton root solve for one
+block of points, the exact support components and the time check. Each flow
+slices its points into BLOCK-sized blocks itself and builds one atom table
+per block, for its support test, the solve and its density rows.
 
 The support indicator of either flow is convex on each gap between
 neighbouring atoms, so a gap holds at most one outside interval and K atoms
@@ -32,28 +33,16 @@ def check_time(t):
         raise NonpositiveTime(f"t must be finite and > 0, got {t}")
 
 
-def solve_blocked(n, block_problem):
-    """Roots of ``n`` independent monotone equations, BLOCK at a time; a
-    point without one gets the trivial root 0 (v_t = 0 in s = v^2, r_t = 1
-    in x = -log r).
+def solve(lo, hi, x, evaluate):
+    """Roots of independent monotone equations, one per row of a block.
 
-    ``block_problem(sl)`` sets up the points of the slice ``sl`` and returns
-    ``(inside, lo, hi, x, evaluate)``: the mask of the points that have a
-    root and, for those rows only, brackets holding the roots, first iterates
-    inside them, and ``evaluate(x) -> (done, below, newton)``, which says
-    whether x meets the residual target, whether the root lies above x, and
-    gives the Newton candidate from x. Frozen points stay in the block: the
+    ``lo`` and ``hi`` bracket the roots and ``x`` holds first iterates
+    inside them; ``evaluate(x) -> (done, below, newton)`` says whether x
+    meets the residual target, whether the root lies above x, and gives the
+    Newton candidate from x. A Newton candidate outside the bracket is
+    replaced by its midpoint. Frozen points stay in the block: the
     evaluations wasted on them cost less than compacting its arrays.
     """
-    out = np.zeros(n)
-    for start in range(0, n, BLOCK):
-        sl = slice(start, start + BLOCK)
-        inside, *problem = block_problem(sl)
-        out[sl][inside] = _solve_block(*problem)
-    return out
-
-
-def _solve_block(lo, hi, x, evaluate):
     root = np.empty_like(x)
     frozen = np.zeros(x.shape, dtype=bool)
     for _ in range(MAX_ITER):
@@ -107,7 +96,7 @@ def outside_gaps(indicator, level, slope, left, right, w_left, w_right):
     cl, cr = np.cbrt(w_left), np.cbrt(w_right)
     i = np.flatnonzero(~((cl + cr) ** 3 > level * length**2))
     lo, hi, tol = left[i], right[i], GAP_STEP_REL * length[i]
-    start = lo + length[i] * cl[i] / (cl[i] + cr[i])  # the two-atom minimiser
+    first = lo + length[i] * cl[i] / (cl[i] + cr[i])  # the two-atom minimiser
 
     def evaluate(sl, x):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -115,9 +104,9 @@ def outside_gaps(indicator, level, slope, left, right, w_left, w_right):
             step = g / dg
         return np.abs(step) <= tol[sl], g > 0.0, x - step
 
-    def block(sl):
-        return np.ones(len(lo[sl]), bool), lo[sl], hi[sl], start[sl], partial(evaluate, sl)
-
-    m = solve_blocked(len(i), block)
+    m = np.empty(len(i))
+    for start in range(0, len(i), BLOCK):
+        sl = slice(start, start + BLOCK)
+        m[sl] = solve(lo[sl], hi[sl], first[sl], partial(evaluate, sl))
     kept = indicator(m) < level
     return i[kept], m[kept]

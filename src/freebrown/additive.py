@@ -23,6 +23,10 @@ support edge, where v_t' blows up). The real-axis map
 
 pushes the Brown measure forward to the semicircular flow's law: the density
 of that law at psi_t(a) is v_t(a)/(pi t), and w_t = psi_t'/(2 pi t).
+
+All three come from one pass over each block of points (``_rows``), which
+forms a - x_j once for the support test, the v_t solve and the w_t and psi_t
+rows; every public function of them is a column of that pass.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from functools import partial
 
 import numpy as np
 
-from ._boundary import check_time, outside_gaps, refine_endpoints, solve_blocked
-from .errors import AtomDivision, OutsideSupport, ValidationError
+from ._boundary import BLOCK, check_time, outside_gaps, refine_endpoints, solve
+from .errors import OutsideSupport, ValidationError
 from .measures import SpectralMeasure, cauchy_transform
 from .quadrature import integrate_adaptive
 
@@ -49,21 +53,24 @@ def _sum_inv_sq(mu, a):
         return np.divide(mu.weights[None, :], d, out=d).sum(axis=1)
 
 
-def v_t_array(mu: SpectralMeasure, t: float, a) -> np.ndarray:
-    """v_t at every point of ``a``: Newton on 1/S(s) = t in s = v^2.
+def _rows(mu, t, a, what="v_t"):
+    """(v_t, w_t, psi_t) at every point of ``a``, BLOCK points at a time.
 
-    S(s) = sum_j w_j/(d_j^2 + s) is decreasing and convex, 1/S is increasing
-    and concave, so Newton started below the root climbs to it without
-    overshooting. The start s_0 = max(0, max_j(t w_j - d_j^2)) is below the
-    root (each term alone is at most 1/t there), exact for one atom and
-    positive at an atom. The root never exceeds t since S(s) <= 1/s. Each
-    block builds d_j^2 once, for the support test S(0) > 1/t and the solve.
+    Each block forms d_j = a - x_j and d_j^2 once, for the support test
+    S(0) > 1/t, the v_t solve and the rows. v_t comes from Newton on
+    1/S(s) = t in s = v^2: S(s) = sum_j w_j/(d_j^2 + s) is decreasing and
+    convex, 1/S is increasing and concave, so Newton started below the root
+    climbs to it without overshooting. The start s_0 = max(0, max_j(t w_j -
+    d_j^2)) is below the root (each term alone is at most 1/t there), exact
+    for one atom and positive at an atom. The root never exceeds t since
+    S(s) <= 1/s. The rows then take D_j = d_j^2 + v^2: psi_t at every
+    point, and w_t inside the strip from d(v^2)/da = -2 A/B, A = sum_j w_j
+    d_j/D_j^2, B = sum_j w_j/D_j^2.
     """
-    mu.require_real("v_t")
+    mu.require_real(what)
     check_time(t)
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    target = 1.0 / t
-    wj = mu.weights[None, :]
+    target, x, wj = 1.0 / t, mu.locations[None, :], mu.weights[None, :]
 
     def evaluate(s, d2):
         D = d2 + s[:, None]
@@ -74,15 +81,29 @@ def v_t_array(mu: SpectralMeasure, t: float, a) -> np.ndarray:
         done = (np.abs(S - target) <= V_RESIDUAL_REL * target) & (s > 0.0)
         return done, S > target, s + t * S * (S - target) / B
 
-    def block(sl):
-        d2 = (a[sl, None] - mu.locations[None, :]) ** 2
+    v, w, psi = np.zeros_like(a), np.zeros_like(a), np.empty_like(a)
+    for start in range(0, len(a), BLOCK):
+        sl = slice(start, start + BLOCK)
+        d = a[sl, None] - x
+        d2 = d * d
         with np.errstate(divide="ignore", over="ignore"):  # +inf at an atom
             inside = (wj / d2).sum(axis=1) > target
-        d2 = d2[inside]
-        s0 = np.maximum(0.0, np.max(t * wj - d2, axis=1))
-        return inside, s0, t, s0, lambda s: evaluate(s, d2)
+        d2_in = d2[inside]
+        s0 = np.maximum(0.0, np.max(t * wj - d2_in, axis=1))
+        v[sl][inside] = np.sqrt(solve(s0, t, s0, partial(evaluate, d2=d2_in)))
+        D = d2 + (v[sl] * v[sl])[:, None]
+        psi[sl] = a[sl] + t * (wj * d / D).sum(axis=1)
+        d, D = d[inside], D[inside]
+        D2 = D * D
+        dv2 = -2.0 * (wj * d / D2).sum(axis=1) / (wj / D2).sum(axis=1)
+        dI2 = -(wj * x * (2.0 * d + dv2[:, None]) / D2).sum(axis=1)
+        w[sl][inside] = (1.0 / (np.pi * t)) * (1.0 - 0.5 * t * dI2)
+    return v, w, psi
 
-    return np.sqrt(solve_blocked(len(a), block))
+
+def v_t_array(mu: SpectralMeasure, t: float, a) -> np.ndarray:
+    """v_t at every point of ``a`` (0 outside the strip)."""
+    return _rows(mu, t, a)[0]
 
 
 def v_t(mu: SpectralMeasure, t: float, a: float) -> float:
@@ -96,17 +117,8 @@ def subordination_H(mu: SpectralMeasure, t: float, z: complex) -> complex:
     return complex(z) + t * cauchy_transform(mu, z)
 
 
-def psi_t_array(mu, t, a, v=None):
-    mu.require_real("psi_t")
-    check_time(t)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if v is None:
-        v = v_t_array(mu, t, a)
-    d = a[:, None] - mu.locations[None, :]
-    D = d * d + (v * v)[:, None]
-    if np.any(D == 0.0):
-        raise AtomDivision("psi_t at an atom with v_t = 0")
-    return a + t * (mu.weights[None, :] * d / D).sum(axis=1)
+def psi_t_array(mu, t, a):
+    return _rows(mu, t, a, "psi_t")[2]
 
 
 def psi_t(mu: SpectralMeasure, t: float, a: float) -> float:
@@ -114,28 +126,8 @@ def psi_t(mu: SpectralMeasure, t: float, a: float) -> float:
     return float(psi_t_array(mu, t, np.array([a]))[0])
 
 
-def density_w_array(mu, t, a, v=None):
-    mu.require_real("density_w")
-    check_time(t)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if v is None:
-        v = v_t_array(mu, t, a)
-    w = np.zeros_like(a)
-    inside = v > 0.0
-    if not np.any(inside):
-        return w
-    ai, vi = a[inside], v[inside]
-    d = ai[:, None] - mu.locations[None, :]
-    D = d * d + (vi * vi)[:, None]
-    D2 = D * D
-    wj = mu.weights[None, :]
-    A = (wj * d / D2).sum(axis=1)
-    B = (wj / D2).sum(axis=1)
-    dv2 = -2.0 * A / B
-    x = mu.locations[None, :]
-    dI2 = -(wj * x * (2.0 * d + dv2[:, None]) / D2).sum(axis=1)
-    w[inside] = (1.0 / (np.pi * t)) * (1.0 - 0.5 * t * dI2)
-    return w
+def density_w_array(mu, t, a):
+    return _rows(mu, t, a, "density_w")[1]
 
 
 def density_w(mu: SpectralMeasure, t: float, a: float) -> float:
@@ -146,19 +138,13 @@ def density_w(mu: SpectralMeasure, t: float, a: float) -> float:
 def additive_law_density(mu: SpectralMeasure, t: float, a: float):
     """Point (psi_t(a), v_t(a)/(pi t)) on the graph of the law of the
     semicircular flow; only defined where v_t(a) > 0."""
-    v = v_t(mu, t, a)
+    v, _, psi = (float(z[0]) for z in _rows(mu, t, [a]))
     if v <= 0.0:
         raise OutsideSupport(f"v_t({a}) = 0: no push-forward density there")
-    return psi_t(mu, t, a), v / (np.pi * t)
+    return psi, v / (np.pi * t)
 
 
 # -- profiles ----------------------------------------------------------------
-
-
-def _rows(mu, t, a):
-    """(v_t, w_t, psi_t) at every point of ``a``, from one v_t solve."""
-    v = v_t_array(mu, t, a)
-    return v, density_w_array(mu, t, a, v), psi_t_array(mu, t, a, v)
 
 
 @dataclass(frozen=True)

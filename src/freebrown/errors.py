@@ -38,10 +38,6 @@ class NonpositiveTime(ValidationError):
     """Flow time must be strictly positive."""
 
 
-class AtomDivision(ValidationError):
-    """Point sits on an atom with zero regularization (v = 0)."""
-
-
 class OutsideSupport(ValidationError):
     """Additive-law evaluation at a point with v_t(a) = 0."""
 

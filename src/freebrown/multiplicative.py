@@ -28,16 +28,20 @@ defining identity, so no finite differences appear. The Haar measure short-
 circuits every formula: r_t = exp(-t/2), phi = theta, w_t = 1/(2 pi t).
 
 Denominators are evaluated as D = (1-r)^2 + 4 r sin^2(u/2), which stays
-accurate as r -> 1.
+accurate as r -> 1. One pass over each block of angles (``_rows``) takes one
+sin and one cos of u/2 for the support test, the r_t solve and the (r, phi,
+w, m) rows; every public function of them is a column of that pass. Times
+past T_MAX are refused: there e^{-x} underflows for some root x = -log r_t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._boundary import BLOCK, check_time, outside_gaps, refine_endpoints, solve_blocked
+from ._boundary import BLOCK, check_time, outside_gaps, refine_endpoints, solve
 from .errors import InvalidRadius, OutsideU, PoleAtAtom, ValidationError, ZeroLambda
 from .measures import SpectralMeasure, reflect_circle_measure
 from .quadrature import integrate_adaptive
@@ -46,6 +50,21 @@ from .quadrature import integrate_adaptive
 R_RESIDUAL_REL = 1e-12
 #: upper bracket: roots are separated from 1 by the f(1-,theta) > 1/t margin
 R_BRACKET_HI = 1.0 - 1e-15
+#: -log of the smallest normal float: e^{-x} is normal for x <= X_NORMAL
+X_NORMAL = -np.log(np.finfo(float).tiny)
+#: largest t whose boundary radii are normal floats: every root has x <=
+#: x_hi(t) = t/4 + sqrt(t^2/16 + t) <= X_NORMAL exactly when t <= 2 X^2/(2 + X)
+#: (about 1412.8); past it r_t = e^{-x} (and the Haar e^{-t/2}) underflows
+T_MAX = 2.0 * X_NORMAL**2 / (2.0 + X_NORMAL)
+
+
+def _check_time(t):
+    check_time(t)
+    if t > T_MAX:
+        raise ValidationError(
+            f"t must be <= {T_MAX:.6g} for the multiplicative flow, where the "
+            f"boundary radius r_t >= e^(-{X_NORMAL:.6g}) is a normal float; got {t}"
+        )
 
 
 def _g(r):
@@ -115,52 +134,8 @@ def T_of_lambda(mu_bar: SpectralMeasure, lam: complex) -> float:
 
 
 def r_t_array(mu_bar: SpectralMeasure, t: float, thetas) -> np.ndarray:
-    """Boundary radius r_t at each angle: bracketed Newton on 1/f = t in
-    x = -log r, where 1/f = 2x for Haar, started from the Haar root t/2.
-
-    The iterate is x, and f is formed from x (1 - r = -expm1(-x)), so the
-    residual target is met even where 1 - r is too small for the float r
-    to carry it; r = e^{-x} is then its correct rounding. Each block builds
-    q4 = 4 sin^2(u/2) once, for the test f(1-, theta) = sum_j w_j/q4_j > 1/t
-    and the solve. The bracket runs from R_BRACKET_HI to the closed form
-    x_hi = t/4 + sqrt(t^2/16 + t): D >= (1-r)^2 gives f <= 1/(2x tanh(x/2)),
-    and tanh y >= y/(1+y) bounds that by (2+x)/(2x^2) <= 1/t for x >= x_hi.
-    """
-    mu_bar.require_circle("r_t")
-    check_time(t)
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if mu_bar.is_haar:
-        return np.full_like(th, np.exp(-0.5 * t))
-    target = 1.0 / t
-    wj = mu_bar.weights[None, :]
-    lo, hi = -np.log(R_BRACKET_HI), 0.25 * t + np.sqrt(t * t / 16.0 + t)
-
-    def evaluate(x, q4):
-        rr = np.exp(-x)
-        c = -np.expm1(-x)
-        D = rr[:, None] * q4
-        D += (c * c)[:, None]
-        inv = wj / D
-        S1 = inv.sum(axis=1)
-        g = c * (1.0 + rr) / (2.0 * x)
-        f = g * S1
-        T = np.divide(inv, D, out=D)
-        S_D2 = T.sum(axis=1)
-        S_qD2 = np.multiply(T, q4, out=T).sum(axis=1)
-        # df/dx, with dg/dx = (r^2 - g)/x and dD/dx = r (2 (1-r) - q4)
-        f_x = (rr * rr - g) / x * S1 - g * rr * (2.0 * c * S_D2 - S_qD2)
-        done = np.abs(f - target) <= R_RESIDUAL_REL * target
-        return done, f > target, x + f * (1.0 - t * f) / f_x
-
-    def block(sl):
-        u = th[sl, None] + mu_bar.locations[None, :]
-        q4 = 4.0 * np.sin(0.5 * u) ** 2
-        with np.errstate(divide="ignore", over="ignore"):  # +inf at an atom
-            inside = (wj / q4).sum(axis=1) > target
-        q4 = q4[inside]
-        return inside, lo, hi, np.full(len(q4), max(0.5 * t, lo)), lambda x: evaluate(x, q4)
-
-    return np.exp(-solve_blocked(len(th), block))
+    """Boundary radius r_t at each angle (1 outside U_t)."""
+    return _rows(mu_bar, t, thetas)[0]
 
 
 def r_t(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
@@ -185,50 +160,85 @@ def phi_map(mu_bar: SpectralMeasure, t: float, z: complex) -> complex:
 
 
 def _rows(mu_bar, t, thetas):
-    """(r, phi, w, m) at every angle, from one r_t solve, vectorized.
+    """(r, phi, w, m) at every angle, BLOCK angles at a time.
+
+    Each block builds h_j = u_j/2, sin h_j, cos h_j and q4_j = 4 sin^2 h_j
+    once, for the support test f(1-, theta) = sum_j w_j/q4_j > 1/t, the r_t
+    solve and the rows, which take D = (1-r)^2 + r q4, sin u = 2 sin h cos h
+    and cos u = 1 - q4/2.
+
+    r_t comes from bracketed Newton on 1/f = t in x = -log r, where 1/f = 2x
+    for Haar, started from the Haar root t/2. The iterate is x, and f is
+    formed from x (1 - r = -expm1(-x)), so the residual target is met even
+    where 1 - r is too small for the float r to carry it; r = e^{-x} is then
+    its correct rounding. The bracket runs from R_BRACKET_HI to the closed
+    form x_hi = t/4 + sqrt(t^2/16 + t): D >= (1-r)^2 gives f <= 1/(2x
+    tanh(x/2)), and tanh y >= y/(1+y) bounds that by (2+x)/(2x^2) <= 1/t for
+    x >= x_hi.
 
     phi comes out as the continuous representative directly (it is a finite
     sum of continuous terms, not a principal-branch argument). Outside U_t
     (r = 1) phi and m are the unit-circle continuations and w = 0.
     """
+    mu_bar.require_circle("r_t")
+    _check_time(t)
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    r = r_t_array(mu_bar, t, th)
     if mu_bar.is_haar:
+        r = np.full_like(th, np.exp(-0.5 * t))
         w = np.full_like(th, 1.0 / (2.0 * np.pi * t))
         return r, th.copy(), w, np.zeros_like(th)
-    m, w = np.empty_like(th), np.empty_like(th)
-    # BLOCK angles at a time bounds the (angles x atoms) work arrays
+    target = 1.0 / t
+    wj = mu_bar.weights[None, :]
+    lo, hi = -np.log(R_BRACKET_HI), 0.25 * t + np.sqrt(t * t / 16.0 + t)
+    x0 = max(0.5 * t, lo)
+
+    def evaluate(x, q4):
+        rr = np.exp(-x)
+        c = -np.expm1(-x)
+        D = rr[:, None] * q4
+        D += (c * c)[:, None]
+        inv = wj / D
+        S1 = inv.sum(axis=1)
+        g = c * (1.0 + rr) / (2.0 * x)
+        f = g * S1
+        T = np.divide(inv, D, out=D)
+        S_D2 = T.sum(axis=1)
+        S_qD2 = np.multiply(T, q4, out=T).sum(axis=1)
+        # df/dx, with dg/dx = (r^2 - g)/x and dD/dx = r (2 (1-r) - q4)
+        f_x = (rr * rr - g) / x * S1 - g * rr * (2.0 * c * S_D2 - S_qD2)
+        done = np.abs(f - target) <= R_RESIDUAL_REL * target
+        return done, f > target, x + f * (1.0 - t * f) / f_x
+
+    r, m, w = np.empty_like(th), np.empty_like(th), np.empty_like(th)
     for start in range(0, len(th), BLOCK):
         sl = slice(start, start + BLOCK)
-        m[sl], w[sl] = _block_rows(mu_bar, t, th[sl], r[sl])
+        h = 0.5 * (th[sl, None] + mu_bar.locations[None, :])
+        sh, ch = np.sin(h), np.cos(h)
+        q4 = 4.0 * sh * sh
+        with np.errstate(divide="ignore", over="ignore"):  # +inf at an atom
+            inside = (wj / q4).sum(axis=1) > target
+        x, q4_in = np.zeros(len(q4)), q4[inside]
+        x[inside] = solve(lo, hi, np.full(len(q4_in), x0), partial(evaluate, q4=q4_in))
+        r[sl] = rb = np.exp(-x)
+        D = (1.0 - rb[:, None]) ** 2 + rb[:, None] * q4
+        D2 = D * D
+        su = 2.0 * sh * ch
+        m[sl] = 2.0 * rb * (wj * su / D).sum(axis=1)
+        S1 = (wj / D).sum(axis=1)
+        Ssin_D2 = (wj * su / D2).sum(axis=1)
+        Scos_D2 = (wj * (1.0 - 0.5 * q4) / D2).sum(axis=1)
+        S_D2 = (wj / D2).sum(axis=1)
+        # g(1) = 0/0: the derivative terms are NaN outside U_t, masked below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = _g(rb)
+            f_r = _g_prime(rb) * S1 + g * (2.0 * Scos_D2 - 2.0 * rb * S_D2)
+            f_th = -2.0 * rb * g * Ssin_D2
+            drdth = -f_th / f_r
+        dm = 2.0 * (
+            drdth * (1.0 - rb * rb) * Ssin_D2 + (rb**3 + rb) * Scos_D2 - 2.0 * rb * rb * S_D2
+        )
+        w[sl] = np.where(rb < 1.0, (2.0 / t + dm) / (4.0 * np.pi), 0.0)
     return r, th + 0.5 * t * m, w, m
-
-
-def _block_rows(mu_bar, t, th, r):
-    """(m, w) at angles ``th`` with radii ``r``, from one sin and cos of h = u/2:
-    q4 = 4 sin^2 h, D = (1-r)^2 + r q4, sin u = 2 sin h cos h, cos u = 1 - q4/2."""
-    h = 0.5 * (th[:, None] + mu_bar.locations[None, :])
-    sh, ch = np.sin(h), np.cos(h)
-    q4 = 4.0 * sh * sh
-    wj = mu_bar.weights[None, :]
-    D = (1.0 - r[:, None]) ** 2 + r[:, None] * q4
-    D2 = D * D
-    su = 2.0 * sh * ch
-    m = 2.0 * r * (wj * su / D).sum(axis=1)
-    S1 = (wj / D).sum(axis=1)
-    Ssin_D2 = (wj * su / D2).sum(axis=1)
-    Scos_D2 = (wj * (1.0 - 0.5 * q4) / D2).sum(axis=1)
-    S_D2 = (wj / D2).sum(axis=1)
-    # g(1) = 0/0: the derivative terms are NaN outside U_t, masked below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = _g(r)
-        f_r = _g_prime(r) * S1 + g * (2.0 * Scos_D2 - 2.0 * r * S_D2)
-        f_th = -2.0 * r * g * Ssin_D2
-        drdth = -f_th / f_r
-    dm = 2.0 * (
-        drdth * (1.0 - r * r) * Ssin_D2 + (r**3 + r) * Scos_D2 - 2.0 * r * r * S_D2
-    )
-    return m, np.where(r < 1.0, (2.0 / t + dm) / (4.0 * np.pi), 0.0)
 
 
 def _arg_density(r, w):
@@ -297,7 +307,7 @@ def multiplicative_profile(mu: SpectralMeasure, t: float, n_theta: int) -> Multi
     internally and the support region is {r_t(theta) < r < 1/r_t(theta)}.
     """
     mu.require_circle("multiplicative_profile")
-    check_time(t)
+    _check_time(t)
     if n_theta < 16:
         raise ValidationError("n_theta must be >= 16")
     mu_bar = reflect_circle_measure(mu)
@@ -397,20 +407,23 @@ def annulus_radial_cdf(t: float, r: float) -> float:
 
 def haar_annulus_check(t: float, n_radii: int = 33) -> AnnulusCheck:
     """Compare the Haagerup-Larsen CDF against the numeric radial integral
-    of the annulus density 1/(2 pi t rho^2) (area element 2 pi rho drho)."""
-    check_time(t)
+    of the annulus density 1/(2 pi t rho^2), taken in s = log rho: the area
+    element 2 pi rho drho is 2 pi rho^2 ds, so the integrand stays flat
+    across [e^{-t/2}, e^{t/2}] however wide the annulus."""
+    _check_time(t)
     r_in, r_out = np.exp(-0.5 * t), np.exp(0.5 * t)
     radii = np.linspace(r_in, r_out, n_radii)
     cdf_s = np.array([annulus_radial_cdf(t, r) for r in radii])
 
-    def dens(rho):
-        return (1.0 / (2.0 * np.pi * t * rho**2)) * 2.0 * np.pi * rho
+    def dens(s):  # no rho^2, which overflows for t past ~709
+        rho = np.exp(s)
+        return (1.0 / (2.0 * np.pi * t * rho)) * 2.0 * np.pi * rho
 
     cdf_num = np.zeros_like(radii)
     for i, r in enumerate(radii):
         if r > r_in:
             cdf_num[i] = float(
-                integrate_adaptive(dens, r_in, float(r), rel_tol=1e-13, abs_floor=1e-15)
+                integrate_adaptive(dens, -0.5 * t, float(np.log(r)), rel_tol=1e-13, abs_floor=1e-15)
             )
     disc = float(np.max(np.abs(cdf_s - cdf_num)))
     return AnnulusCheck(t, radii, cdf_s, cdf_num, disc)

@@ -14,12 +14,10 @@ from freebrown.additive import (
     support_sidecar,
     total_mass,
     v_t,
-    v_t_array,
 )
 from freebrown.cli import write_rows
 from freebrown.cumulants import free_additive_with_semicircle
 from freebrown.errors import (
-    AtomDivision,
     NonpositiveTime,
     OutsideSupport,
     PoleAtAtom,
@@ -96,14 +94,6 @@ def test_psi_examples():
     assert psi_t(D0, 1.0, 0.3) == pytest.approx(0.6)
     assert psi_t(D0, 1.0, 0.0) == pytest.approx(0.0)
     assert psi_t(BERN, 2.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_psi_atom_division_guard():
-    from freebrown.additive import psi_t_array
-
-    # force the degenerate branch directly: v = 0 at an atom
-    with pytest.raises(AtomDivision):
-        psi_t_array(D0, 1.0, np.array([0.0]), v=np.array([0.0]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,13 +291,13 @@ def test_semicircle_discretization_pushes_to_summed_variance():
 
 
 def test_vertical_constancy_by_construction():
-    # the 2-d density at (a, b) with |b| < v(a) is w(a) by definition; spot
-    # check that the array path and scalar path agree on the same a
+    # the 2-d density at (a, b) with |b| < v(a) is w(a) by definition; the
+    # scalar, array and profile paths share one row pass, so they agree exactly
     a = np.array([-0.3, 0.1, 0.9])
-    v = v_t_array(TWO, 1.0, a)
-    w = density_w_array(TWO, 1.0, a, v)
+    w = density_w_array(TWO, 1.0, a)
+    assert np.array_equal(w, additive_profile(TWO, 1.0, a).w)
     for ai, wi in zip(a, w):
-        assert density_w(TWO, 1.0, float(ai)) == pytest.approx(float(wi))
+        assert density_w(TWO, 1.0, float(ai)) == wi
 
 
 # -- output -----------------------------------------------------------------------------

@@ -191,12 +191,29 @@ def test_bad_time_exit_code(tmp_path, capsys):
 
 def test_large_time_mult_density(tmp_path, capsys):
     """At t = 300 the r_t root lies near x = -log r = 150 on the whole
-    circle: the solve converges there and the mass gate passes."""
+    circle, at t = 1400 near 700, just inside the normal floats: the solve
+    converges there and the mass gate passes."""
     doc = {"kind": "circle-atomic", "atoms": [{"theta": 0.4, "w": 0.5}, {"theta": 2.0, "w": 0.5}]}
     mpath = write_measure(tmp_path, doc, "c2.json")
-    argv = ["mult", "density", "--measure", mpath, "--t", "300", "--n-theta", "64"]
-    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
-    assert "arcs=1" in capsys.readouterr().out
+    for t in ("300", "1400"):
+        argv = ["mult", "density", "--measure", mpath, "--t", t, "--n-theta", "64"]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
+        assert "arcs=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "circle-atomic", "atoms": [{"theta": 0.4, "w": 0.5}, {"theta": 2.0, "w": 0.5}]},
+    HAAR,
+])
+def test_mult_time_past_normal_radii_exit_code(tmp_path, capsys, doc):
+    """Past T_MAX (about 1412.8) the radius e^{-x} of some root underflows:
+    the run is refused up front (exit 2) with the bound named, instead of
+    failing in the mass integral or writing r = 0 rows."""
+    mpath = write_measure(tmp_path, doc, "m.json")
+    argv = ["mult", "density", "--measure", mpath, "--t", "1600", "--n-theta", "64"]
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert "t must be <= 1412.8" in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -195,6 +195,21 @@ def test_w_fd_cross_check():
         )
 
 
+def test_scalar_wrappers_equal_profile_rows():
+    """The scalar wrappers and the profile share one row pass, so at grid
+    angles inside U_t they give the profile's rows exactly."""
+    t = 0.8
+    prof = multiplicative_profile(ASYM, t, 64)
+    hit = np.flatnonzero(prof.r < 1.0)
+    assert len(hit) > 0
+    for i in hit:
+        th = float(prof.thetas[i])
+        assert r_t(ASYM_BAR, t, th) == prof.r[i]
+        assert phi_of_theta(ASYM_BAR, t, th) == prof.phi[i]
+        assert th + 0.5 * t * m_t(ASYM_BAR, t, th) == prof.phi[i]
+        assert density_w_theta(ASYM_BAR, t, th) == prof.w[i]
+
+
 def test_w_outside_u():
     with pytest.raises(OutsideU):
         density_w_theta(D0C, 1.0, np.pi / 2)
@@ -402,7 +417,7 @@ def test_law_matches_unitary_flow_closed_form(t):
 # -- annulus check ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("t", [0.25, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("t", [0.25, 1.0, 2.0, 4.0, 16.0, 50.0, 200.0, 1400.0])
 def test_annulus_check(t):
     chk = haar_annulus_check(t)
     assert chk.max_discrepancy <= 1e-12
