@@ -1,8 +1,9 @@
 """Machinery shared by the boundary solves of both flows, v_t(a) for
 x0 + c_t and r_t(theta) for u b_t: a safeguarded Newton root solve for one
 block of points, the exact support components and the time check. Each flow
-slices its points into BLOCK-sized blocks itself and builds one atom table
-per block, for its support test, the solve and its density rows.
+slices its points into ``blocks`` of at most TABLE_ENTRIES (points x atoms)
+table entries and builds one atom table per block, for its support test, the
+solve and its density rows.
 
 The support indicator of either flow is convex on each gap between
 neighbouring atoms, so a gap holds at most one outside interval and K atoms
@@ -18,8 +19,9 @@ import numpy as np
 
 from .errors import NonpositiveTime, NumericalError
 
-#: points per block: keeps the (points x atoms) work arrays cache-sized
-BLOCK = 128
+#: (points x atoms) entries per block: keeps the work arrays cache-sized,
+#: 128 points per block for 200 atoms and one block for a few-atom grid
+TABLE_ENTRIES = 25_600
 #: Newton/bisection iterations per point before NumericalError
 MAX_ITER = 100
 #: endpoint bisection cap; a unit bracket collapses to adjacent floats in ~55
@@ -31,6 +33,14 @@ GAP_STEP_REL = 1e-9
 def check_time(t):
     if not 0 < t < np.inf:
         raise NonpositiveTime(f"t must be finite and > 0, got {t}")
+
+
+def blocks(n, atoms):
+    """Consecutive slices of range(n), each of at most TABLE_ENTRIES // atoms
+    points (at least one), so a block's table against ``atoms`` atoms stays
+    within TABLE_ENTRIES entries."""
+    rows = max(1, TABLE_ENTRIES // atoms)
+    return (slice(start, start + rows) for start in range(0, n, rows))
 
 
 def solve(lo, hi, x, evaluate):
@@ -105,8 +115,8 @@ def outside_gaps(indicator, level, slope, left, right, w_left, w_right):
         return np.abs(step) <= tol[sl], g > 0.0, x - step
 
     m = np.empty(len(i))
-    for start in range(0, len(i), BLOCK):
-        sl = slice(start, start + BLOCK)
+    # the slope table has one column per atom, at most len(left) + 1 of them
+    for sl in blocks(len(i), len(left) + 1):
         m[sl] = solve(lo[sl], hi[sl], first[sl], partial(evaluate, sl))
     kept = indicator(m) < level
     return i[kept], m[kept]

@@ -36,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from ._boundary import BLOCK, check_time, outside_gaps, refine_endpoints, solve
+from ._boundary import blocks, check_time, outside_gaps, refine_endpoints, solve
 from .errors import OutsideSupport, ValidationError
 from .measures import SpectralMeasure, cauchy_transform
 from .quadrature import integrate_adaptive
@@ -54,7 +54,7 @@ def _sum_inv_sq(mu, a):
 
 
 def _rows(mu, t, a, what="v_t"):
-    """(v_t, w_t, psi_t) at every point of ``a``, BLOCK points at a time.
+    """(v_t, w_t, psi_t) at every point of ``a``, one ``blocks`` slice at a time.
 
     Each block forms d_j = a - x_j and d_j^2 once, for the support test
     S(0) > 1/t, the v_t solve and the rows. v_t comes from Newton on
@@ -82,8 +82,7 @@ def _rows(mu, t, a, what="v_t"):
         return done, S > target, s + t * S * (S - target) / B
 
     v, w, psi = np.zeros_like(a), np.zeros_like(a), np.empty_like(a)
-    for start in range(0, len(a), BLOCK):
-        sl = slice(start, start + BLOCK)
+    for sl in blocks(len(a), len(mu.locations)):
         d = a[sl, None] - x
         d2 = d * d
         with np.errstate(divide="ignore", over="ignore"):  # +inf at an atom

@@ -16,6 +16,7 @@ import json
 import platform
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -234,7 +235,10 @@ def _run_check_haar(config: RunConfig):
 # -- argument parsing ------------------------------------------------------------
 
 
+@cache
 def _build_parser():
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process (parsing leaves it unchanged)."""
     p = argparse.ArgumentParser(
         prog="freebrown",
         description="Brown measures of free Brownian motions: densities, "

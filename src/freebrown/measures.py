@@ -52,8 +52,12 @@ def wrap_angle(theta):
     return out
 
 
-def _dedup(locations, weights):
-    """Sort atoms and merge locations closer than DEDUP_TOL (weights add)."""
+def _dedup(locations, weights, circle):
+    """Sort atoms and merge locations closer than DEDUP_TOL (weights add).
+
+    On the circle the last and first atoms are also compared through the
+    wrap, and a pair that straddles the cut merges into the atom at the +pi
+    side, where ``wrap_angle`` sends the cut itself."""
     order = np.argsort(locations, kind="stable")
     locs = locations[order]
     ws = weights[order]
@@ -64,6 +68,9 @@ def _dedup(locations, weights):
         else:
             out_l.append(x)
             out_w.append(w)
+    if circle and len(out_l) > 1 and locs[0] + 2.0 * math.pi - locs[-1] <= DEDUP_TOL:
+        out_w[-1] += out_w.pop(0)
+        out_l.pop(0)
     return np.array(out_l), np.array(out_w)
 
 
@@ -102,7 +109,7 @@ class SpectralMeasure:
                 )
             if self.kind == CIRCLE_ATOMIC:
                 locs = wrap_angle(locs)
-            locs, ws = _dedup(locs, ws)
+            locs, ws = _dedup(locs, ws, circle=self.kind == CIRCLE_ATOMIC)
             # zero-weight atoms carry no mass but would inject spurious poles
             keep = ws > 0.0
             locs, ws = locs[keep], ws[keep]

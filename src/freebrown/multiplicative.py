@@ -41,7 +41,7 @@ from functools import partial
 
 import numpy as np
 
-from ._boundary import BLOCK, check_time, outside_gaps, refine_endpoints, solve
+from ._boundary import blocks, check_time, outside_gaps, refine_endpoints, solve
 from .errors import InvalidRadius, OutsideU, PoleAtAtom, ValidationError, ZeroLambda
 from .measures import SpectralMeasure, reflect_circle_measure
 from .quadrature import integrate_adaptive
@@ -160,7 +160,7 @@ def phi_map(mu_bar: SpectralMeasure, t: float, z: complex) -> complex:
 
 
 def _rows(mu_bar, t, thetas):
-    """(r, phi, w, m) at every angle, BLOCK angles at a time.
+    """(r, phi, w, m) at every angle, one ``blocks`` slice at a time.
 
     Each block builds h_j = u_j/2, sin h_j, cos h_j and q4_j = 4 sin^2 h_j
     once, for the support test f(1-, theta) = sum_j w_j/q4_j > 1/t, the r_t
@@ -210,8 +210,7 @@ def _rows(mu_bar, t, thetas):
         return done, f > target, x + f * (1.0 - t * f) / f_x
 
     r, m, w = np.empty_like(th), np.empty_like(th), np.empty_like(th)
-    for start in range(0, len(th), BLOCK):
-        sl = slice(start, start + BLOCK)
+    for sl in blocks(len(th), len(mu_bar.locations)):
         h = 0.5 * (th[sl, None] + mu_bar.locations[None, :])
         sh, ch = np.sin(h), np.cos(h)
         q4 = 4.0 * sh * sh

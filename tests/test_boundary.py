@@ -231,3 +231,58 @@ def test_multiplicative_components_from_atoms(lw, t):
     assert all(a[1] <= b[0] for a, b in zip(arcs, arcs[1:]))
     _ends_change_sign(arcs, lambda th: _f_limit_exact(mu_bar, th), 1.0 / t, (-np.pi, np.pi))
     assert multiplicative_profile(mu, t, 64).u_components == arcs
+
+
+# -- blocks ------------------------------------------------------------------------
+
+LINE = {
+    1: (SpectralMeasure.point_mass(0.0), 1.0),
+    3: (SpectralMeasure.real_atomic([-1.0, 0.3, 1.5], [0.2, 0.5, 0.3]), 0.5),
+    200: (_dense(1, "real-atomic", -3, 3), 0.05),
+}
+CIRCLE = {
+    1: (SpectralMeasure.circle_atomic([0.7], [1.0]), 1.0),
+    3: (SpectralMeasure.circle_atomic([-2.5, 0.4, 2.0], [0.2, 0.5, 0.3]), 0.5),
+    200: (_dense(1, "circle-atomic", -np.pi, np.pi), 0.02),
+}
+
+
+def _in_chunks(f, mu, t, pts, size=7):
+    return np.concatenate([f(mu, t, pts[i : i + size]) for i in range(0, len(pts), size)])
+
+
+@pytest.mark.parametrize("k", sorted(LINE))
+@pytest.mark.parametrize(
+    "f", [additive.v_t_array, additive.density_w_array, additive.psi_t_array]
+)
+def test_additive_rows_do_not_depend_on_blocks(k, f):
+    """Every row depends on its own point alone: one call on the whole
+    grid and calls on 7-point chunks give the same floats."""
+    mu, t = LINE[k]
+    grid = np.linspace(-4.0, 4.0, 801)
+    assert np.array_equal(f(mu, t, grid), _in_chunks(f, mu, t, grid))
+
+
+@pytest.mark.parametrize("k", sorted(CIRCLE))
+@pytest.mark.parametrize("f", [multiplicative.r_t_array, multiplicative.phi_of_theta_array])
+def test_multiplicative_rows_do_not_depend_on_blocks(k, f):
+    mu, t = CIRCLE[k]
+    mu_bar = reflect_circle_measure(mu)
+    thetas = np.linspace(-np.pi, np.pi, 1441)
+    assert np.array_equal(f(mu_bar, t, thetas), _in_chunks(f, mu_bar, t, thetas))
+
+
+@pytest.mark.parametrize("k, calls", [(3, 1), (200, 12)])
+def test_blocks_hold_a_fixed_number_of_table_entries(monkeypatch, k, calls):
+    """1441 angles against 3 atoms fit one block; against 200 atoms a block
+    holds 128 angles, so they take ceil(1441 / 128) = 12 solves."""
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return _boundary.solve(*args)
+
+    monkeypatch.setattr(multiplicative, "solve", counting)
+    mu, t = CIRCLE[k]
+    r_t_array(reflect_circle_measure(mu), t, np.linspace(-np.pi, np.pi, 1441))
+    assert len(seen) == calls

@@ -1,9 +1,16 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from freebrown import cli
 from freebrown.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 DELTA0 = {"kind": "real-atomic", "atoms": [{"x": 0.0, "w": 1.0}]}
 TWO_ATOM = {
@@ -338,3 +345,50 @@ def test_json_only_commands_reject_format(tmp_path, capsys):
         assert manifest["config"]["format"] is None
     sim = json.loads((tmp_path / "s.csv.manifest.json").read_text())
     assert sim["config"]["format"] == "csv"
+
+
+def _fresh_python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, check=True, capture_output=True, text=True
+    ).stdout
+
+
+def test_one_parser_per_process(tmp_path, monkeypatch, capsys):
+    """In-process calls share one parser, built on the first call, and give
+    the same bytes as fresh processes, also after a call argparse rejected.
+    Importing the CLI builds no parser."""
+    runs = [
+        ["additive", "density", "--grid", "-2:2:801", "--out", "d1.csv"],
+        ["additive", "density", "--grid", "-2:2:801", "--out", "d2.csv"],
+        ["mult", "law", "--out", "law.csv"],
+    ]
+    measures = {"additive": ("d0.json", DELTA0), "mult": ("circle.json", CIRCLE)}
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    for d in (shared, fresh):
+        d.mkdir()
+        for name, doc in measures.values():
+            write_measure(d, doc, name)
+    argv = [run + ["--measure", measures[run[0]][0], "--t", "1"] for run in runs]
+
+    cli._build_parser.cache_clear()
+    monkeypatch.chdir(shared)
+    with pytest.raises(SystemExit) as rejected:
+        main(["additive", "density", "--no-such-flag"])
+    assert rejected.value.code == 2
+    for args in argv:
+        assert main(args) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    capsys.readouterr()
+
+    for args in argv:
+        _fresh_python(["-m", "freebrown.cli", *args], fresh)
+    files = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in shared.iterdir()) == files
+    assert len(files) == 2 + 3 + 3 + 2  # measures, d1 and d2 with sidecars, law
+    for name in files:
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    probe = "import freebrown.cli as c; print(c._build_parser.cache_info().currsize)"
+    assert _fresh_python(["-c", probe], tmp_path).strip() == "0"

@@ -76,6 +76,14 @@ def test_duplicate_atoms_merge():
     assert mu.weights[0] == pytest.approx(0.5)
 
 
+def test_duplicate_angles_merge_across_the_cut():
+    """A pair 5e-13 apart through the cut at +-pi merges like any other
+    pair, into the atom at +pi."""
+    mu = SpectralMeasure.circle_atomic([np.pi, -np.pi + 5e-13, 1.0], [0.25, 0.25, 0.5])
+    assert mu.locations.tolist() == [1.0, np.pi]
+    assert mu.weights.tolist() == [0.5, 0.5]
+
+
 def test_angles_normalized():
     mu = SpectralMeasure.circle_atomic([3 * np.pi], [1.0])
     assert mu.locations[0] == pytest.approx(np.pi)
