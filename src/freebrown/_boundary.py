@@ -17,11 +17,13 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NonpositiveTime, NumericalError
+from .errors import NonpositiveTime, NumericalError, ValidationError
 
 #: (points x atoms) entries per block: keeps the work arrays cache-sized,
 #: 128 points per block for 200 atoms and one block for a few-atom grid
 TABLE_ENTRIES = 25_600
+#: residual target of both boundary solves, relative to 1/t
+RESIDUAL_REL = 1e-12
 #: Newton/bisection iterations per point before NumericalError
 MAX_ITER = 100
 #: endpoint bisection cap; a unit bracket collapses to adjacent floats in ~55
@@ -33,6 +35,15 @@ GAP_STEP_REL = 1e-9
 def check_time(t):
     if not 0 < t < np.inf:
         raise NonpositiveTime(f"t must be finite and > 0, got {t}")
+
+
+def finite_points(points, name):
+    """``points`` as a 1-d float array; a NaN or infinite point raises
+    ValidationError rather than read as outside the support."""
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError(f"every {name} must be finite")
+    return pts
 
 
 def blocks(n, atoms):

@@ -26,7 +26,9 @@ of that law at psi_t(a) is v_t(a)/(pi t), and w_t = psi_t'/(2 pi t).
 
 All three come from one pass over each block of points (``_rows``), which
 forms a - x_j once for the support test, the v_t solve and the w_t and psi_t
-rows; every public function of them is a column of that pass.
+rows; every public function of them is a column of that pass. The Newton
+step's sums S = sum_j w_j/D_j and B = sum_j w_j/D_j^2 = -dS/ds, taken once
+more at the roots, also give the rows: B is the denominator of d(v_t^2)/da.
 """
 
 from __future__ import annotations
@@ -36,13 +38,18 @@ from functools import partial
 
 import numpy as np
 
-from ._boundary import blocks, check_time, outside_gaps, refine_endpoints, solve
+from ._boundary import (
+    RESIDUAL_REL,
+    blocks,
+    check_time,
+    finite_points,
+    outside_gaps,
+    refine_endpoints,
+    solve,
+)
 from .errors import OutsideSupport, ValidationError
 from .measures import SpectralMeasure, cauchy_transform
 from .quadrature import integrate_adaptive
-
-#: residual target for the v_t solve, relative to 1/t
-V_RESIDUAL_REL = 1e-12
 
 
 def _sum_inv_sq(mu, a):
@@ -58,45 +65,52 @@ def _rows(mu, t, a, what="v_t"):
 
     Each block forms d_j = a - x_j and d_j^2 once, for the support test
     S(0) > 1/t, the v_t solve and the rows. v_t comes from Newton on
-    1/S(s) = t in s = v^2: S(s) = sum_j w_j/(d_j^2 + s) is decreasing and
-    convex, 1/S is increasing and concave, so Newton started below the root
-    climbs to it without overshooting. The start s_0 = max(0, max_j(t w_j -
-    d_j^2)) is below the root (each term alone is at most 1/t there), exact
-    for one atom and positive at an atom. The root never exceeds t since
-    S(s) <= 1/s. The rows then take D_j = d_j^2 + v^2: psi_t at every
-    point, and w_t inside the strip from d(v^2)/da = -2 A/B, A = sum_j w_j
-    d_j/D_j^2, B = sum_j w_j/D_j^2.
+    1/S(s) = t in s = v^2: S(s) = sum_j w_j/D_j, D_j = d_j^2 + s, is
+    decreasing and convex with S'(s) = -B, B = sum_j w_j/D_j^2, so 1/S is
+    increasing and concave and Newton started below the root climbs to it
+    without overshooting. The start s_0 = max(0, max_j(t w_j - d_j^2)) is
+    below the root (each term alone is at most 1/t there), exact for one
+    atom and positive at an atom. The root never exceeds t since S(s) <= 1/s.
+
+    One more evaluation at the roots (s = 0 outside the strip) gives the
+    rows: psi_t at every point from the table w_j/D_j, and w_t inside the
+    strip from the table w_j/D_j^2 and d(v^2)/da = -2 A/B, A = sum_j w_j
+    d_j/D_j^2, by implicit differentiation of S = 1/t.
     """
     mu.require_real(what)
     check_time(t)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    a = finite_points(a, "point")
     target, x, wj = 1.0 / t, mu.locations[None, :], mu.weights[None, :]
 
-    def evaluate(s, d2):
+    def at(s, d2):
+        """The tables w_j/D_j and w_j/D_j^2 at s, with S and B."""
         D = d2 + s[:, None]
         inv = wj / D
-        S = inv.sum(axis=1)
-        B = np.divide(inv, D, out=D).sum(axis=1)
+        T = np.divide(inv, D, out=D)
+        return inv, T, inv.sum(axis=1), T.sum(axis=1)
+
+    def evaluate(s, d2):
+        _, _, S, B = at(s, d2)
         # s > 0: a point inside the strip never freezes at v = 0
-        done = (np.abs(S - target) <= V_RESIDUAL_REL * target) & (s > 0.0)
+        done = (np.abs(S - target) <= RESIDUAL_REL * target) & (s > 0.0)
         return done, S > target, s + t * S * (S - target) / B
 
-    v, w, psi = np.zeros_like(a), np.zeros_like(a), np.empty_like(a)
+    v, w, psi = np.empty_like(a), np.empty_like(a), np.empty_like(a)
     for sl in blocks(len(a), len(mu.locations)):
         d = a[sl, None] - x
         d2 = d * d
         with np.errstate(divide="ignore", over="ignore"):  # +inf at an atom
             inside = (wj / d2).sum(axis=1) > target
-        d2_in = d2[inside]
+        s, d2_in = np.zeros(len(d2)), d2[inside]
         s0 = np.maximum(0.0, np.max(t * wj - d2_in, axis=1))
-        v[sl][inside] = np.sqrt(solve(s0, t, s0, partial(evaluate, d2=d2_in)))
-        D = d2 + (v[sl] * v[sl])[:, None]
-        psi[sl] = a[sl] + t * (wj * d / D).sum(axis=1)
-        d, D = d[inside], D[inside]
-        D2 = D * D
-        dv2 = -2.0 * (wj * d / D2).sum(axis=1) / (wj / D2).sum(axis=1)
-        dI2 = -(wj * x * (2.0 * d + dv2[:, None]) / D2).sum(axis=1)
-        w[sl][inside] = (1.0 / (np.pi * t)) * (1.0 - 0.5 * t * dI2)
+        s[inside] = solve(s0, t, s0, partial(evaluate, d2=d2_in))
+        v[sl] = np.sqrt(s)
+        inv, T, _, B = at(s, d2)
+        psi[sl] = a[sl] + t * (inv * d).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # B = 0 far outside
+            dv2 = -2.0 * (T * d).sum(axis=1) / B
+        dI2 = -(T * x * (2.0 * d + dv2[:, None])).sum(axis=1)
+        w[sl] = np.where(inside, (1.0 / (np.pi * t)) * (1.0 - 0.5 * t * dI2), 0.0)
     return v, w, psi
 
 

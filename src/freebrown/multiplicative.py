@@ -24,14 +24,21 @@ with
 where m_t(theta) = 2 sum_j w_j r sin u_j / D_j and phi(theta) =
 theta + (t/2) m_t(theta) is the continuous boundary angle map; r_t'(theta)
 enters dm_t/dtheta through implicit differentiation -f_theta/f_r of the
-defining identity, so no finite differences appear. The Haar measure short-
-circuits every formula: r_t = exp(-t/2), phi = theta, w_t = 1/(2 pi t).
+defining identity, so no finite differences appear. f_r = -e^x f_x is the
+x-slope the Newton step already uses: one function of x (``_at``) gives f,
+f_x and the sums of the rows, at each Newton iterate and once more at the
+roots, and f_value is the same function at one point. The Haar measure
+short-circuits every formula: r_t = exp(-t/2), phi = theta,
+w_t = 1/(2 pi t).
 
-Denominators are evaluated as D = (1-r)^2 + 4 r sin^2(u/2), which stays
-accurate as r -> 1. One pass over each block of angles (``_rows``) takes one
-sin and one cos of u/2 for the support test, the r_t solve and the (r, phi,
-w, m) rows; every public function of them is a column of that pass. Times
-past T_MAX are refused: there e^{-x} underflows for some root x = -log r_t.
+Everything is formed from x: 1 - r = -expm1(-x) is exact where the float
+r = e^{-x} cannot carry it, D = (1-r)^2 + 4 r sin^2(u/2) stays accurate as
+r -> 1, and the slope of g = (1-r^2)/(2x) switches to its series for small
+x, where its direct form cancels. One pass over each block of angles
+(``_rows``) takes one sin and one cos of u/2 for the support test, the r_t
+solve and the (r, phi, w, m) rows; every public function of them is a
+column of that pass. Times past T_MAX are refused: there e^{-x} underflows
+for some root x = -log r_t.
 """
 
 from __future__ import annotations
@@ -41,21 +48,30 @@ from functools import partial
 
 import numpy as np
 
-from ._boundary import blocks, check_time, outside_gaps, refine_endpoints, solve
+from ._boundary import (
+    RESIDUAL_REL,
+    blocks,
+    check_time,
+    finite_points,
+    outside_gaps,
+    refine_endpoints,
+    solve,
+)
 from .errors import InvalidRadius, OutsideU, PoleAtAtom, ValidationError, ZeroLambda
 from .measures import SpectralMeasure, reflect_circle_measure
 from .quadrature import integrate_adaptive
 
-#: residual target for the r_t solve, relative to 1/t
-R_RESIDUAL_REL = 1e-12
 #: upper bracket: roots are separated from 1 by the f(1-,theta) > 1/t margin
 R_BRACKET_HI = 1.0 - 1e-15
+_TINY = np.finfo(float).tiny
 #: -log of the smallest normal float: e^{-x} is normal for x <= X_NORMAL
-X_NORMAL = -np.log(np.finfo(float).tiny)
+X_NORMAL = -np.log(_TINY)
 #: largest t whose boundary radii are normal floats: every root has x <=
 #: x_hi(t) = t/4 + sqrt(t^2/16 + t) <= X_NORMAL exactly when t <= 2 X^2/(2 + X)
 #: (about 1412.8); past it r_t = e^{-x} (and the Haar e^{-t/2}) underflows
 T_MAX = 2.0 * X_NORMAL**2 / (2.0 + X_NORMAL)
+#: below this x = -log r the slope of g comes from its series
+X_SERIES = 1e-2
 
 
 def _check_time(t):
@@ -67,24 +83,50 @@ def _check_time(t):
         )
 
 
-def _g(r):
-    """(1 - r^2)/(-2 log r) for r in (0,1).
+def _g_slope(x, r, g):
+    """dg/dx of g = (1 - e^{-2x})/(2x) at x = -log r > 0.
 
-    1 - r^2 is formed as (1-r)(1+r): near r = 1 the difference 1-r is exact
-    and log(r) of the representable r is well conditioned, so no log1p
-    gymnastics are needed.
+    The direct form (r^2 - g)/x cancels as x -> 0, to about 1e-16/x
+    relative, so below X_SERIES it is the series
+    sum_{n>=1} n (-2)^n x^(n-1)/(n+1)!, whose first omitted term is under
+    6e-17 there.
     """
-    return (1.0 - r) * (1.0 + r) / (-2.0 * np.log(r))
+    dg = (r * r - g) / x
+    small = x < X_SERIES
+    if small.any():
+        y = x[small]
+        dg[small] = -1.0 + y * (
+            4 / 3 + y * (-1.0 + y * (8 / 15 + y * (-2 / 9 + y * (8 / 105 - y / 45))))
+        )
+    return dg
 
 
-def _g_prime(r):
-    """d/dr of _g; series for r near 1 where the direct form cancels."""
-    r = np.asarray(r, dtype=float)
-    u = 1.0 - r
-    L = -np.log(r)
-    direct = ((1.0 - r) * (1.0 + r) / r - 2.0 * r * L) / (2.0 * L * L)
-    series = 1.0 - u / 3.0
-    return np.where(u < 1e-4, series, direct)
+def _at(x, q4, wj):
+    """What f_value, the solve and the rows of one block take from
+    x = -log r: (r, c = 1 - r, g, the tables w_j/D_j and w_j/D_j^2,
+    S_D2 = sum_j w_j/D_j^2, S_qD2 = sum_j w_j q4_j/D_j^2, f, f_x), with
+    D = c^2 + r q4 and g = (1 - r^2)/(2x) = c (1 + r)/(2x).
+
+    dc/dx = r and dD/dx = r (2c - q4), so f = g S1 has
+    f_x = g' S1 - g r (2c S_D2 - S_qD2), S1 = sum_j w_j/D_j.
+
+    x = 0 (r = 1, where the rows continue m and phi outside U_t) divides
+    by the smallest normal float instead of 0: g = f = 0 there and every
+    column stays finite; the rows set w = 0 at those angles.
+    """
+    r = np.exp(-x)
+    c = -np.expm1(-x)
+    D = r[:, None] * q4
+    D += (c * c)[:, None]
+    inv = wj / D
+    T = inv / D
+    S1 = inv.sum(axis=1)
+    S_D2 = T.sum(axis=1)
+    S_qD2 = np.multiply(T, q4, out=D).sum(axis=1)
+    x = np.maximum(x, _TINY)
+    g = c * (1.0 + r) / (2.0 * x)
+    f_x = _g_slope(x, r, g) * S1 - g * r * (2.0 * c * S_D2 - S_qD2)
+    return r, c, g, inv, T, S_D2, S_qD2, g * S1, f_x
 
 
 def f_value(mu_bar: SpectralMeasure, r: float, theta: float) -> float:
@@ -99,8 +141,8 @@ def f_value(mu_bar: SpectralMeasure, r: float, theta: float) -> float:
         r = 1.0 / r
     if mu_bar.is_haar:
         return float(1.0 / (-2.0 * np.log(r)))
-    D = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * (float(theta) + mu_bar.locations)) ** 2
-    return float(_g(r) * np.sum(mu_bar.weights / D))
+    q4 = 4.0 * np.sin(0.5 * (float(theta) + mu_bar.locations[None, :])) ** 2
+    return float(_at(np.array([-np.log(r)]), q4, mu_bar.weights[None, :])[-2][0])
 
 
 def f_limit_at_circle(mu_bar: SpectralMeasure, theta) -> np.ndarray:
@@ -164,25 +206,28 @@ def _rows(mu_bar, t, thetas):
 
     Each block builds h_j = u_j/2, sin h_j, cos h_j and q4_j = 4 sin^2 h_j
     once, for the support test f(1-, theta) = sum_j w_j/q4_j > 1/t, the r_t
-    solve and the rows, which take D = (1-r)^2 + r q4, sin u = 2 sin h cos h
-    and cos u = 1 - q4/2.
+    solve and the rows. Both the solve and the rows take f and its slope
+    f_x from ``_at``, a function of x = -log r.
 
-    r_t comes from bracketed Newton on 1/f = t in x = -log r, where 1/f = 2x
-    for Haar, started from the Haar root t/2. The iterate is x, and f is
-    formed from x (1 - r = -expm1(-x)), so the residual target is met even
-    where 1 - r is too small for the float r to carry it; r = e^{-x} is then
-    its correct rounding. The bracket runs from R_BRACKET_HI to the closed
-    form x_hi = t/4 + sqrt(t^2/16 + t): D >= (1-r)^2 gives f <= 1/(2x
-    tanh(x/2)), and tanh y >= y/(1+y) bounds that by (2+x)/(2x^2) <= 1/t for
-    x >= x_hi.
+    r_t comes from bracketed Newton on 1/f = t in x, where 1/f = 2x for
+    Haar, started from the Haar root t/2. The iterate is x, and f is formed
+    from x (1 - r = -expm1(-x)), so the residual target is met even where
+    1 - r is too small for the float r to carry it; r = e^{-x} is then its
+    correct rounding. The bracket runs from R_BRACKET_HI to the closed form
+    x_hi = t/4 + sqrt(t^2/16 + t): D >= (1-r)^2 gives f <= 1/(2x tanh(x/2)),
+    and tanh y >= y/(1+y) bounds that by (2+x)/(2x^2) <= 1/t for x >= x_hi.
 
-    phi comes out as the continuous representative directly (it is a finite
-    sum of continuous terms, not a principal-branch argument). Outside U_t
-    (r = 1) phi and m are the unit-circle continuations and w = 0.
+    One more ``_at`` call at the roots gives the rows: m = 2 r sum_j w_j
+    sin u_j/D_j with sin u = 2 sin h cos h, and w from dm/dtheta, where
+    dr/dtheta = -f_theta/f_r by implicit differentiation of f = 1/t, with
+    f_r = -e^x f_x and f_theta = -2 r g sum_j w_j sin u_j/D_j^2. phi comes
+    out as the continuous representative directly (it is a finite sum of
+    continuous terms, not a principal-branch argument). Outside U_t (x = 0,
+    r = 1) phi and m are the unit-circle continuations and w = 0.
     """
     mu_bar.require_circle("r_t")
     _check_time(t)
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    th = finite_points(thetas, "theta")
     if mu_bar.is_haar:
         r = np.full_like(th, np.exp(-0.5 * t))
         w = np.full_like(th, 1.0 / (2.0 * np.pi * t))
@@ -193,20 +238,8 @@ def _rows(mu_bar, t, thetas):
     x0 = max(0.5 * t, lo)
 
     def evaluate(x, q4):
-        rr = np.exp(-x)
-        c = -np.expm1(-x)
-        D = rr[:, None] * q4
-        D += (c * c)[:, None]
-        inv = wj / D
-        S1 = inv.sum(axis=1)
-        g = c * (1.0 + rr) / (2.0 * x)
-        f = g * S1
-        T = np.divide(inv, D, out=D)
-        S_D2 = T.sum(axis=1)
-        S_qD2 = np.multiply(T, q4, out=T).sum(axis=1)
-        # df/dx, with dg/dx = (r^2 - g)/x and dD/dx = r (2 (1-r) - q4)
-        f_x = (rr * rr - g) / x * S1 - g * rr * (2.0 * c * S_D2 - S_qD2)
-        done = np.abs(f - target) <= R_RESIDUAL_REL * target
+        *_, f, f_x = _at(x, q4, wj)
+        done = np.abs(f - target) <= RESIDUAL_REL * target
         return done, f > target, x + f * (1.0 - t * f) / f_x
 
     r, m, w = np.empty_like(th), np.empty_like(th), np.empty_like(th)
@@ -218,25 +251,20 @@ def _rows(mu_bar, t, thetas):
             inside = (wj / q4).sum(axis=1) > target
         x, q4_in = np.zeros(len(q4)), q4[inside]
         x[inside] = solve(lo, hi, np.full(len(q4_in), x0), partial(evaluate, q4=q4_in))
-        r[sl] = rb = np.exp(-x)
-        D = (1.0 - rb[:, None]) ** 2 + rb[:, None] * q4
-        D2 = D * D
+        rb, c, g, inv, T, S_D2, S_qD2, _, f_x = _at(x, q4, wj)
         su = 2.0 * sh * ch
-        m[sl] = 2.0 * rb * (wj * su / D).sum(axis=1)
-        S1 = (wj / D).sum(axis=1)
-        Ssin_D2 = (wj * su / D2).sum(axis=1)
-        Scos_D2 = (wj * (1.0 - 0.5 * q4) / D2).sum(axis=1)
-        S_D2 = (wj / D2).sum(axis=1)
-        # g(1) = 0/0: the derivative terms are NaN outside U_t, masked below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = _g(rb)
-            f_r = _g_prime(rb) * S1 + g * (2.0 * Scos_D2 - 2.0 * rb * S_D2)
-            f_th = -2.0 * rb * g * Ssin_D2
-            drdth = -f_th / f_r
+        m[sl] = 2.0 * rb * np.multiply(inv, su, out=inv).sum(axis=1)
+        Ssin_D2 = np.multiply(T, su, out=T).sum(axis=1)
+        # dr/dtheta = -f_theta/f_r = r f_theta/f_x
+        drdth = -2.0 * rb * rb * g * Ssin_D2 / f_x
+        # dm/dtheta = 2 (1 - r^2) Ssin_D2 dr/dtheta + 2 r sum_j w_j
+        # ((1 + r^2) cos u_j - 2r)/D_j^2, and (1 + r^2) cos u - 2r = c^2 - (1 + r^2) q4/2
         dm = 2.0 * (
-            drdth * (1.0 - rb * rb) * Ssin_D2 + (rb**3 + rb) * Scos_D2 - 2.0 * rb * rb * S_D2
+            drdth * c * (1.0 + rb) * Ssin_D2
+            + rb * (c * c * S_D2 - 0.5 * (1.0 + rb * rb) * S_qD2)
         )
-        w[sl] = np.where(rb < 1.0, (2.0 / t + dm) / (4.0 * np.pi), 0.0)
+        r[sl] = rb
+        w[sl] = np.where(inside, (2.0 / t + dm) / (4.0 * np.pi), 0.0)
     return r, th + 0.5 * t * m, w, m
 
 

@@ -1,0 +1,130 @@
+"""A 40-digit pointwise reference for both flows, in mpmath.
+
+It shares no formula with the float code past the defining identities:
+v_t and r_t are bracketed roots of the defining sums, found to the working
+precision, and the densities are ``mp.diff`` of I2(a) and of m_t(theta)
+along the root, not implicit differentiation. ``mp.diff`` raises the
+working precision (to about 94 digits at 40), and every root inside it is
+found at that precision.
+
+Atoms, weights, t and the probe points enter as the exact values of their
+floats, so the reference answers for the inputs the float code was given.
+"""
+
+from mpmath import mp
+
+DPS = 40
+
+
+def _root(F, lo, hi):
+    """The root of a decreasing F on [lo, hi], F(lo) > 0 >= F(hi), by
+    Illinois regula falsi (a midpoint when a step leaves the bracket),
+    until the bracket is a few units of the working precision wide."""
+    flo, fhi = F(lo), F(hi)
+    tol = 8 * mp.eps * (abs(lo) + abs(hi))
+    side = 0
+    for _ in range(10 * mp.prec):
+        if hi - lo <= tol:
+            return (lo + hi) / 2
+        c = (lo * fhi - hi * flo) / (fhi - flo)
+        if not lo < c < hi:
+            c = (lo + hi) / 2
+        fc = F(c)
+        if fc > 0:
+            lo, flo = c, fc
+            if side == 1:
+                fhi /= 2
+            side = 1
+        else:
+            hi, fhi = c, fc
+            if side == -1:
+                flo /= 2
+            side = -1
+    raise RuntimeError("oracle root did not converge")
+
+
+class Additive:
+    """x0 + c_t for a real-atomic measure: v_t, psi_t and w_t at a point
+    that is not an atom."""
+
+    def __init__(self, mu, t):
+        self.x = [mp.mpf(float(x)) for x in mu.locations]
+        self.w = [mp.mpf(float(w)) for w in mu.weights]
+        self.t = mp.mpf(float(t))
+
+    def table(self, a):
+        """(w_j, x_j, a - x_j, (a - x_j)^2) at the working precision."""
+        a = mp.mpf(a)
+        return [(w, x, a - x, (a - x) ** 2) for x, w in zip(self.x, self.w)]
+
+    def S(self, tab, s):
+        return mp.fsum(w / (d2 + s) for w, _, _, d2 in tab)
+
+    def s(self, tab):
+        """v_t^2: the root of S(s) = 1/t in (0, t], or 0 outside the strip."""
+        level = 1 / self.t
+        if self.S(tab, 0) <= level:
+            return mp.zero
+        return _root(lambda s: self.S(tab, s) - level, mp.zero, self.t)
+
+    def psi(self, a):
+        tab = self.table(a)
+        s = self.s(tab)
+        return mp.mpf(a) + self.t * mp.fsum(w * d / (d2 + s) for w, _, d, d2 in tab)
+
+    def I2(self, a):
+        tab = self.table(a)
+        s = self.s(tab)
+        return mp.fsum(w * x / (d2 + s) for w, x, _, d2 in tab)
+
+    def density(self, a):
+        """w_t(a) = (1/(pi t)) (1 - (t/2) dI2/da)."""
+        return (1 - self.t / 2 * mp.diff(self.I2, mp.mpf(a))) / (mp.pi * self.t)
+
+
+class Multiplicative:
+    """u b_t for the reflected circle measure ``mu_bar``: r_t, phi and w_t
+    at an angle that is not an atom angle, in x = -log r."""
+
+    def __init__(self, mu_bar, t):
+        self.b = [mp.mpf(float(b)) for b in mu_bar.locations]
+        self.w = [mp.mpf(float(w)) for w in mu_bar.weights]
+        self.t = mp.mpf(float(t))
+
+    def table(self, th):
+        """(w_j, sin u_j, 4 sin^2(u_j/2)), u_j = theta + beta_j, at the
+        working precision."""
+        th = mp.mpf(th)
+        return [(w, mp.sin(th + b), 4 * mp.sin((th + b) / 2) ** 2) for b, w in zip(self.b, self.w)]
+
+    def f(self, tab, x):
+        """(1 - r^2)/(2x) sum_j w_j/D_j, D_j = (1-r)^2 + r q4_j, continued by
+        its limit at x = 0."""
+        c, r = -mp.expm1(-x), mp.exp(-x)
+        g = 1 if x == 0 else -mp.expm1(-2 * x) / (2 * x)
+        return g * mp.fsum(w / (c * c + r * q4) for w, _, q4 in tab)
+
+    def x(self, tab):
+        """-log r_t(theta), 0 outside U_t. The root lies below
+        x_hi = t/4 + sqrt(t^2/16 + t)."""
+        level, t = 1 / self.t, self.t
+        if self.f(tab, mp.zero) <= level:
+            return mp.zero
+        return _root(lambda x: self.f(tab, x) - level, mp.zero, t / 4 + mp.sqrt(t * t / 16 + t))
+
+    def m_at(self, tab, x):
+        """2 r sum_j w_j sin u_j / D_j at r = e^{-x}."""
+        c, r = -mp.expm1(-x), mp.exp(-x)
+        return 2 * r * mp.fsum(w * su / (c * c + r * q4) for w, su, q4 in tab)
+
+    def m(self, th):
+        """m_t(theta): m_at on the boundary x = -log r_t(theta)."""
+        tab = self.table(th)
+        return self.m_at(tab, self.x(tab))
+
+    def phi(self, th):
+        return mp.mpf(th) + self.t / 2 * self.m(th)
+
+    def density(self, th):
+        """w_t(theta) = (1/(4 pi)) (2/t + dm_t/dtheta)."""
+        return (2 / self.t + mp.diff(self.m, mp.mpf(th))) / (4 * mp.pi)

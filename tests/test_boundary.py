@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from freebrown import _boundary, additive, multiplicative
 from freebrown.additive import additive_profile, v_t_array
 from freebrown.cli import _parse_grid
-from freebrown.errors import NumericalError
+from freebrown.errors import NumericalError, ValidationError
 from freebrown.measures import SpectralMeasure, reflect_circle_measure
 from freebrown.multiplicative import multiplicative_profile, r_t_array
 
@@ -157,6 +157,54 @@ def test_iteration_cap_raises(monkeypatch):
         v_t_array(TWO, 1.0, np.linspace(-1.0, 1.0, 9))
     with pytest.raises(NumericalError):
         r_t_array(reflect_circle_measure(ASYM), 0.8, np.linspace(0.5, 2.0, 9))
+
+
+def _points(f, bad):
+    """``bad`` for a scalar function; for an array one, ``bad`` after a
+    good point."""
+    return np.array([0.0, bad]) if f.__name__.endswith("_array") else bad
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "f",
+    [
+        additive.v_t,
+        additive.v_t_array,
+        additive.psi_t,
+        additive.psi_t_array,
+        additive.density_w,
+        additive.density_w_array,
+        additive.additive_law_density,
+    ],
+)
+def test_additive_rejects_non_finite_points(f, bad):
+    """A NaN point must not read as outside the strip (v = 0)."""
+    with pytest.raises(ValidationError, match="finite"):
+        f(TWO, 1.0, _points(f, bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("mu", [ASYM, SpectralMeasure.haar()], ids=["asym", "haar"])
+@pytest.mark.parametrize(
+    "f",
+    [
+        multiplicative.r_t,
+        multiplicative.r_t_array,
+        multiplicative.phi_of_theta,
+        multiplicative.phi_of_theta_array,
+        multiplicative.m_t,
+        multiplicative.density_w_theta,
+        multiplicative.mult_law_density,
+    ],
+)
+def test_multiplicative_rejects_non_finite_angles(f, mu, bad):
+    """A NaN angle must not read as outside U_t (r = 1). ``mult_law_density``
+    takes the measure itself, the others its reflection."""
+    if f is not multiplicative.mult_law_density:
+        mu = reflect_circle_measure(mu)
+    with pytest.raises(ValidationError, match="finite"):
+        f(mu, 0.8, _points(f, bad))
 
 
 # -- exact support components ------------------------------------------------------

@@ -1,0 +1,186 @@
+"""What is built on the boundary roots -- w_t, psi_t and phi -- against the
+40-digit reference in ``_oracle.py``, at points 1e-3 to 1e-11 inside every
+support end and at random points of the support.
+
+Bounds:
+* psi_t and phi: the residual window carried through the map. The float
+  root only meets |S - 1/t| <= RESIDUAL/t (f for the circle), so it may
+  sit RESIDUAL/(t |dS/ds|) from the exact root, and the map moves by its
+  own slope times that: RESIDUAL |A|/B for psi_t, RESIDUAL |m_x|/(2 |f_x|)
+  for phi, slopes of the reference at its root. SLACK, relative to the
+  size of the map's terms, covers the rounding of the float sums.
+* w_t: a share of max|w|. On the circle the rows divide by f_x, which
+  vanishes at an arc end (f is even in x), so a relative error in the
+  slope of g reaches w amplified by about 1/x. The share admits a slope
+  error of RESIDUAL at x >= 1e-4 (amplified to 1e4 RESIDUAL), and refuses
+  the direct slope (r^2 - g)/x, whose error 1e-16/x is amplified to
+  1e-16/x^2 at the probes' x ~ 1e-6. On the line the rows divide by B,
+  which stays positive at the ends, so w keeps to a few times RESIDUAL.
+"""
+
+import math
+
+import numpy as np
+from _oracle import DPS, Additive, Multiplicative
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from mpmath import mp
+
+from freebrown import additive, multiplicative
+from freebrown.measures import SpectralMeasure, reflect_circle_measure
+
+#: residual target of both solves, relative to 1/t
+RESIDUAL = 1e-12
+#: rounding of the float sums, relative to the size of the map's terms
+SLACK = 1e-14
+#: bound on |w - w_exact| as a share of max|w| over the support
+W_SHARE = {"line": 10 * RESIDUAL, "circle": 1e4 * RESIDUAL}
+OFFSETS = (1e-3, 1e-5, 1e-7, 1e-9, 1e-11)
+RHO = RESIDUAL + SLACK
+#: hypothesis settings of the random-measure tests: the same examples every run
+RANDOM = dict(
+    max_examples=12, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def _dense(seed, kind, lo, hi):
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(200))
+    return SpectralMeasure(kind, rng.uniform(lo, hi, 200), w)
+
+
+def _probes(intervals, skip, offsets, n_random, rng):
+    """Points ``offsets`` inside each end (ends in ``skip`` are cuts, not
+    ends) and ``n_random`` uniform points of the intervals."""
+    pts = []
+    for lo, hi in intervals:
+        pts += [lo + d for d in offsets if lo not in skip]
+        pts += [hi - d for d in offsets if hi not in skip]
+    lengths = np.array([hi - lo for lo, hi in intervals])
+    for k in rng.choice(len(intervals), n_random, p=lengths / lengths.sum()):
+        pts.append(rng.uniform(*intervals[k]))
+    return np.array(pts)
+
+
+# -- x0 + c_t ------------------------------------------------------------------
+
+
+def check_line(mu, t, offsets=OFFSETS, n_random=4, limit=None):
+    """The worst error over the probes, as a share of its bound, for w_t
+    and psi_t."""
+    half = float(np.max(np.abs(mu.locations))) + 2.0 * math.sqrt(t)
+    prof = additive.additive_profile(mu, t, np.linspace(-half, half, 801))
+    rng = np.random.default_rng(0)
+    pts = _probes(prof.support_intervals, (-half, half), offsets, n_random, rng)[:limit]
+    v, w, psi = additive._rows(mu, t, pts)
+    w_bound = W_SHARE["line"] * float(np.max(prof.w))
+    ref, worst = Additive(mu, t), {"w": 0.0, "psi": 0.0}
+    with mp.workdps(DPS):
+        for a, v_f, w_f, psi_f in zip(pts, v, w, psi):
+            tab = ref.table(a)
+            s = ref.s(tab)
+            assert s > 0 and v_f > 0
+            # psi moves by -t A ds where S moves by -B ds: RHO |A|/B
+            D2 = [(d2 + s) ** 2 for _, _, _, d2 in tab]
+            A = mp.fsum(w * d / q for (w, _, d, _), q in zip(tab, D2))
+            B = mp.fsum(w / q for (w, _, _, _), q in zip(tab, D2))
+            terms = abs(a) + ref.t * mp.fsum(w * abs(d) / (d2 + s) for w, _, d, d2 in tab)
+            psi_bound = RHO * abs(A) / B + SLACK * terms
+            worst["w"] = max(worst["w"], abs(float(ref.density(a)) - w_f) / w_bound)
+            worst["psi"] = max(worst["psi"], float(abs(ref.psi(a) - psi_f) / psi_bound))
+    return worst
+
+
+def test_line_three_atoms():
+    worst = check_line(SpectralMeasure.real_atomic([-1.0, 0.3, 1.5], [0.2, 0.5, 0.3]), 0.5)
+    assert max(worst.values()) <= 1.0, worst
+
+
+def test_line_two_hundred_atoms():
+    """Six points next to the ends of the 200-atom measure whose support
+    has 39 intervals at t = 0.05."""
+    worst = check_line(_dense(1, "real-atomic", -3, 3), 0.05, (1e-3, 1e-11), 0, limit=6)
+    assert max(worst.values()) <= 1.0, worst
+
+
+def atoms(lo, hi):
+    return st.integers(1, 6).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.floats(lo, hi), min_size=k, max_size=k, unique=True),
+            st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k),
+        )
+    )
+
+
+times = st.floats(math.log(0.02), math.log(3.0)).map(math.exp)
+
+
+@settings(**RANDOM)
+@given(atoms(-3, 3), times)
+def test_line_random_measures(lw, t):
+    mu = SpectralMeasure.real_atomic(lw[0], np.array(lw[1]) / sum(lw[1]))
+    worst = check_line(mu, t, (1e-3, 1e-7, 1e-11), 2)
+    assert max(worst.values()) <= 1.0, worst
+
+
+# -- u b_t -----------------------------------------------------------------------
+
+
+def check_circle(mu, t, offsets=OFFSETS, n_random=4, limit=None):
+    """The worst error over the probes, as a share of its bound, for w_t
+    and phi."""
+    mu_bar = reflect_circle_measure(mu)
+    prof = multiplicative.multiplicative_profile(mu, t, 1440)
+    rng = np.random.default_rng(0)
+    pts = _probes(prof.u_components, (-np.pi, np.pi), offsets, n_random, rng)[:limit]
+    r, phi, w, _ = multiplicative._rows(mu_bar, t, pts)
+    w_bound = W_SHARE["circle"] * float(np.max(prof.w))
+    ref, worst = Multiplicative(mu_bar, t), {"w": 0.0, "phi": 0.0}
+    with mp.workdps(DPS):
+        for th, r_f, phi_f, w_f in zip(pts, r, phi, w):
+            tab = ref.table(th)
+            x = ref.x(tab)
+            assert x > 0 and r_f < 1
+            # phi moves by (t/2) m_x dx where f moves by f_x dx: RHO |m_x|/(2|f_x|)
+            m_x = mp.diff(lambda y: ref.m_at(tab, y), x)
+            f_x = mp.diff(lambda y: ref.f(tab, y), x)
+            terms = abs(th) + ref.t * abs(ref.m_at(tab, x))
+            phi_bound = RHO * abs(m_x / f_x) / 2 + SLACK * terms
+            worst["w"] = max(worst["w"], abs(float(ref.density(th)) - w_f) / w_bound)
+            worst["phi"] = max(worst["phi"], float(abs(ref.phi(th) - phi_f) / phi_bound))
+    return worst
+
+
+def test_circle_three_atoms():
+    worst = check_circle(SpectralMeasure.circle_atomic([-2.5, 0.4, 2.0], [0.2, 0.5, 0.3]), 0.25)
+    assert max(worst.values()) <= 1.0, worst
+
+
+def test_circle_two_hundred_atoms():
+    """Six points next to the arc ends of the 200-atom measure with 75 arcs
+    at t = 0.02."""
+    mu = _dense(5, "circle-atomic", -np.pi, np.pi)
+    worst = check_circle(mu, 0.02, (1e-3, 1e-11), 0, limit=6)
+    assert max(worst.values()) <= 1.0, worst
+
+
+@settings(**RANDOM)
+@given(atoms(-3.1, 3.1), times)
+def test_circle_random_measures(lw, t):
+    mu = SpectralMeasure.circle_atomic(lw[0], np.array(lw[1]) / sum(lw[1]))
+    worst = check_circle(mu, t, (1e-3, 1e-7, 1e-11), 2)
+    assert max(worst.values()) <= 1.0, worst
+
+
+def test_g_slope_against_mp_diff():
+    """dg/dx of g = (1 - e^{-2x})/(2x), within 5e-14 relative of 40-digit
+    mp.diff for x log-spaced over [1e-15, 700]: the direct form
+    (r^2 - g)/x keeps about 2e-16/x above the series cutoff 1e-2, and is
+    1e-4 off at x = 1e-12 below it."""
+    x = np.logspace(-15, math.log10(700.0), 121)
+    r = np.exp(-x)
+    got = multiplicative._g_slope(x, r, -np.expm1(-x) * (1.0 + r) / (2.0 * x))
+    with mp.workdps(DPS):
+        for xi, gi in zip(x, got):
+            want = mp.diff(lambda y: -mp.expm1(-2 * y) / (2 * y), mp.mpf(xi))
+            assert abs((gi - want) / want) <= 5e-14, xi
