@@ -18,7 +18,7 @@ import pathlib
 import numpy as np
 
 from freebrown.additive import additive_profile, psi_t_array
-from freebrown.cli import write_rows
+from freebrown.cli import parse_grid, write_rows
 from freebrown.measures import SpectralMeasure
 from freebrown.rmt import sample_additive
 
@@ -42,9 +42,7 @@ def main():
     eig = spectrum.eigenvalues
     write_rows(out / "eigenvalues.csv", "csv", ["re", "im"], [eig.real, eig.imag])
 
-    half = float(np.max(np.abs(mu.locations))) + 2.0 * np.sqrt(args.t)
-    grid = np.linspace(-half, half, 801)
-    prof = additive_profile(mu, args.t, grid)
+    prof = additive_profile(mu, args.t, parse_grid(None, mu, args.t))
     write_rows(out / "support_curve.csv", "csv", ["a", "v", "minus_v"],
                [prof.grid, prof.v, -prof.v])
 

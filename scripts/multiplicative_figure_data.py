@@ -15,7 +15,7 @@ import pathlib
 
 import numpy as np
 
-from freebrown.cli import write_rows
+from freebrown.cli import DEFAULT_N_THETA, write_rows
 from freebrown.measures import SpectralMeasure
 from freebrown.multiplicative import multiplicative_profile, phi_of_theta_array
 from freebrown.rmt import sample_multiplicative
@@ -29,7 +29,7 @@ def main():
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--atoms", default=f"{2*np.pi/5}:{1/3},{3*np.pi/4}:{2/3}",
                     help="comma list of theta:w atoms; 'haar' for Haar")
-    ap.add_argument("--n-theta", type=int, default=1441)
+    ap.add_argument("--n-theta", type=int, default=DEFAULT_N_THETA)
     ap.add_argument("--out-dir", default="out/mult")
     args = ap.parse_args()
 

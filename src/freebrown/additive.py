@@ -225,17 +225,16 @@ def _integrate_moments(profile: AdditiveProfile, powers) -> np.ndarray:
         base = 2.0 * v * w
         return np.stack([base * psi**k for k in powers], axis=1)
 
-    total = np.zeros(len(powers))
-    for lo, hi in profile.support_intervals:
-        total += integrate_adaptive(f, lo, hi, rel_tol=1e-8)
-    return total
+    # (-1, 2): a grid clear of the support keeps no interval, and mass 0
+    lo, hi = np.reshape(profile.support_intervals, (-1, 2)).T
+    return integrate_adaptive(f, lo, hi, rel_tol=1e-8).sum(axis=0)
 
 
 def pushforward_moments(profile: AdditiveProfile, k_max: int) -> np.ndarray:
     """Moments m_k = int psi_t(a)^k 2 v_t(a) w_t(a) da, k = 1..k_max.
 
-    Adaptive per-interval quadrature, refined until successive Richardson
-    estimates agree to 1e-8 relative.
+    Nested Clenshaw-Curtis over every support interval at once, refined
+    until successive estimates agree to 1e-8 relative.
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")

@@ -57,7 +57,7 @@ class RunConfig:
             raise ValidationError("output path must be nonempty")
 
 
-def _parse_grid(spec, mu, t):
+def parse_grid(spec, mu, t):
     """'lo:hi:n' -> linspace; default +-(max|x| + 2 sqrt(t)) with 801 points."""
     if spec is None:
         half = float(np.max(np.abs(mu.locations))) + 2.0 * np.sqrt(t)
@@ -121,7 +121,7 @@ def write_rows(path, fmt, header, columns):
 def _run_additive(config: RunConfig):
     mu = load_measure(config.measure_path)
     mu.require_real(config.command)
-    grid = _parse_grid(config.grid, mu, config.t)
+    grid = parse_grid(config.grid, mu, config.t)
     profile = additive.additive_profile(mu, config.t, grid)
     if config.command == "additive-density":
         mass = _checked_mass(additive.total_mass(profile))
@@ -204,7 +204,7 @@ def _run_compare(config: RunConfig):
     spectrum = rmt.load_spectrum(config.spectrum, meta)
     if spectrum.model == rmt.ADDITIVE:
         mu.require_real("compare")
-        grid = _parse_grid(config.grid, mu, spectrum.t)
+        grid = parse_grid(config.grid, mu, spectrum.t)
         profile = additive.additive_profile(mu, spectrum.t, grid)
     else:
         profile = multiplicative.multiplicative_profile(

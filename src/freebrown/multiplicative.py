@@ -405,10 +405,8 @@ def total_mass(profile: MultiplicativeProfile) -> float:
         r, _, w, _ = _rows(mu_bar, t, th)
         return _arg_density(r, w)
 
-    mass = 0.0
-    for lo, hi in profile.u_components:
-        mass += float(integrate_adaptive(f, lo, hi, rel_tol=1e-8))
-    return mass
+    lo, hi = np.transpose(profile.u_components)
+    return float(integrate_adaptive(f, lo, hi, rel_tol=1e-8).sum())
 
 
 # -- Haar annulus cross-check --------------------------------------------------
@@ -447,11 +445,9 @@ def haar_annulus_check(t: float, n_radii: int = 33) -> AnnulusCheck:
         return (1.0 / (2.0 * np.pi * t * rho)) * 2.0 * np.pi * rho
 
     cdf_num = np.zeros_like(radii)
-    for i, r in enumerate(radii):
-        if r > r_in:
-            cdf_num[i] = float(
-                integrate_adaptive(dens, -0.5 * t, float(np.log(r)), rel_tol=1e-13, abs_floor=1e-15)
-            )
+    cdf_num[1:] = integrate_adaptive(
+        dens, -0.5 * t, np.log(radii[1:]), rel_tol=1e-13, abs_floor=1e-15
+    )
     disc = float(np.max(np.abs(cdf_s - cdf_num)))
     return AnnulusCheck(t, radii, cdf_s, cdf_num, disc)
 

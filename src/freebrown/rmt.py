@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -238,6 +238,14 @@ def _ecdf(samples, at):
     return np.searchsorted(samples, at, side="right") / len(samples)
 
 
+#: marginal -> (spectrum model, profile class, the profile's abscissa field)
+_MARGINALS = {
+    REAL_PART: (ADDITIVE, AdditiveProfile, "grid"),
+    ARGUMENT: (MULTIPLICATIVE, MultiplicativeProfile, "thetas"),
+    RADIUS: (MULTIPLICATIVE, MultiplicativeProfile, "thetas"),
+}
+
+
 def compare_marginal(
     spectrum: EmpiricalSpectrum, profile, marginal: str
 ) -> ComparisonReport:
@@ -248,29 +256,23 @@ def compare_marginal(
     radius (multiplicative): CDF(r) = int w_t(theta) log(min(r, 1/r_t)/r_t)+
     dtheta, on a uniform radius grid spanning the support annulus.
     """
+    if marginal not in _MARGINALS:
+        raise ValidationError(f"unknown marginal {marginal!r}")
+    model, kind, field = _MARGINALS[marginal]
+    if spectrum.model != model or not isinstance(profile, kind):
+        article = "an" if model == ADDITIVE else "a"
+        raise MismatchedModel(f"{marginal} marginal needs {article} {model} pair")
+    x = getattr(profile, field)
+    if len(x) == 0:
+        raise MismatchedModel("empty profile grid")
+    bins = len(x)
     if marginal == REAL_PART:
-        if spectrum.model != ADDITIVE or not isinstance(profile, AdditiveProfile):
-            raise MismatchedModel("real-part marginal needs an additive pair")
-        if len(profile.grid) == 0:
-            raise MismatchedModel("empty profile grid")
-        cdf = _cumtrapz(2.0 * profile.v * profile.w, profile.grid)
-        emp = _ecdf(spectrum.eigenvalues.real, profile.grid)
-        dist = float(np.max(np.abs(emp - cdf)))
-        bins = len(profile.grid)
+        cdf = _cumtrapz(2.0 * profile.v * profile.w, x)
+        emp = _ecdf(spectrum.eigenvalues.real, x)
     elif marginal == ARGUMENT:
-        if spectrum.model != MULTIPLICATIVE or not isinstance(profile, MultiplicativeProfile):
-            raise MismatchedModel("argument marginal needs a multiplicative pair")
-        if len(profile.thetas) == 0:
-            raise MismatchedModel("empty profile grid")
-        cdf = _cumtrapz(profile.arg_density, profile.thetas)
-        emp = _ecdf(np.angle(spectrum.eigenvalues), profile.thetas)
-        dist = float(np.max(np.abs(emp - cdf)))
-        bins = len(profile.thetas)
-    elif marginal == RADIUS:
-        if spectrum.model != MULTIPLICATIVE or not isinstance(profile, MultiplicativeProfile):
-            raise MismatchedModel("radius marginal needs a multiplicative pair")
-        if len(profile.thetas) == 0:
-            raise MismatchedModel("empty profile grid")
+        cdf = _cumtrapz(profile.arg_density, x)
+        emp = _ecdf(np.angle(spectrum.eigenvalues), x)
+    else:
         r_in = float(np.min(profile.r))
         bins = 800
         radii = np.linspace(0.97 * r_in, 1.03 / r_in, bins)
@@ -284,24 +286,18 @@ def compare_marginal(
             0.0,
             None,
         )
-        full = np.zeros((bins, len(profile.thetas)))
+        full = np.zeros((bins, len(x)))
         full[:, hit] = wt[None, :] * gain
-        cdf = np.trapezoid(full, profile.thetas, axis=1)
+        cdf = np.trapezoid(full, x, axis=1)
         emp = _ecdf(np.abs(spectrum.eigenvalues), radii)
-        dist = float(np.max(np.abs(emp - cdf)))
-    else:
-        raise ValidationError(f"unknown marginal {marginal!r}")
+    dist = float(np.max(np.abs(emp - cdf)))
     return ComparisonReport(spectrum.model, spectrum.n, spectrum.t, marginal, dist, bins)
 
 
 def spectrum_metadata(spectrum: EmpiricalSpectrum) -> dict:
-    return {
-        "model": spectrum.model,
-        "n": spectrum.n,
-        "t": spectrum.t,
-        "seed": spectrum.seed,
-        "steps": spectrum.steps,
-    }
+    meta = asdict(spectrum)
+    del meta["eigenvalues"]
+    return meta
 
 
 def load_spectrum(path, meta: dict) -> EmpiricalSpectrum:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from freebrown import _boundary, additive, multiplicative
 from freebrown.additive import additive_profile, v_t_array
-from freebrown.cli import _parse_grid
+from freebrown.cli import parse_grid
 from freebrown.errors import NumericalError, ValidationError
 from freebrown.measures import SpectralMeasure, reflect_circle_measure
 from freebrown.multiplicative import multiplicative_profile, r_t_array
@@ -221,7 +221,7 @@ def test_found_components_do_not_depend_on_the_grid():
     a 101-point grid over the same range. Grid runs took two of them for
     one, across an outside gap that held no grid point, and gave 38."""
     mu, t = _dense(1, "real-atomic", -3, 3), 0.05
-    grid = _parse_grid(None, mu, t)
+    grid = parse_grid(None, mu, t)
     prof = additive_profile(mu, t, grid)
     coarse = additive_profile(mu, t, np.linspace(grid[0], grid[-1], 101))
     assert len(prof.support_intervals) == 39

@@ -251,6 +251,16 @@ def test_mass_gate_exit_code(tmp_path, capsys):
     assert "mass=1.000000" in capsys.readouterr().out
 
 
+def test_mass_gate_grid_misses_support(tmp_path, capsys):
+    """A grid clear of the whole support keeps no interval: the mass
+    integral over none is 0, and the gate exits 3."""
+    mpath = write_measure(tmp_path, DELTA0, "d0.json")
+    argv = ["additive", "density", "--measure", mpath, "--t", "1", "--grid", "5:6:101"]
+    assert main(argv + ["--out", str(tmp_path / "off.csv")]) == 3
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err.startswith("mass=0.000000000 ")
+
+
 def test_compare_reads_json_spectrum(tmp_path, capsys):
     mpath = write_measure(tmp_path, HAAR, "h.json")
     eig = tmp_path / "s.json"

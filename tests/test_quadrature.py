@@ -27,9 +27,32 @@ def test_vector_valued_integrand():
 
 
 def test_depth_cap_raises(monkeypatch):
+    # a kink inside the interval: one doubling cannot resolve it
     monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 1)
     with pytest.raises(QuadratureNonconvergence):
-        integrate_adaptive(np.sin, 0.0, np.pi)
+        integrate_adaptive(lambda x: np.abs(x - 1.0), 0.0, np.pi)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [np.sin, lambda x: np.stack([np.sin(x), np.sqrt(np.abs(x)), np.exp(x)], axis=1)],
+    ids=["(n,)", "(n, m)"],
+)
+def test_intervals_match_single_calls(f, monkeypatch):
+    lo, hi = np.array([0.0, 0.5, -1.0, 2.0]), np.array([np.pi, 1.0, 2.0, 2.5])
+    got = integrate_adaptive(f, lo, hi)
+    assert got.shape == (4,) + np.shape(f(np.zeros(1)))[1:]
+    for i in range(len(lo)):
+        assert np.array_equal(got[i], integrate_adaptive(f, lo[i], hi[i]))
+    # one kinked interval among smooth ones still raises
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 2)
+    with pytest.raises(QuadratureNonconvergence, match=r"\[0\.0, 3\.14"):
+        integrate_adaptive(lambda x: np.abs(x - 1.0), [2.0, 0.0, -1.0], [3.0, np.pi, 0.0])
+
+
+def test_no_intervals_integrate_to_nothing():
+    got = integrate_adaptive(lambda x: np.stack([x, x], axis=1), np.empty(0), np.empty(0))
+    assert got.shape == (0, 2) and got.sum(axis=0).tolist() == [0.0, 0.0]
 
 
 def test_empty_interval_rejected():
