@@ -7,7 +7,11 @@ imaginary parts independent with variance t/2n each).
 Multiplicative model: a unitary initial condition times the geometric Euler
 discretization G <- G exp(dZ_k) of dG = G dZ, with dZ_k independent complex
 Gaussian matrices of entry variance (t/steps)/n. The exponential keeps every
-step exactly invertible, so |det| bookkeeping stays multiplicative.
+step exactly invertible, so |det| bookkeeping stays multiplicative. One
+worker thread computes each step's exponential while the calling thread
+multiplies the step before into G; the products keep their step order, so
+the sample is the sequential loop's to the bit. One worker, not more, keeps
+the exponentials in step order and one step ahead at most.
 
 Sampling is bitwise deterministic per seed (numpy default_rng).
 """
@@ -20,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._boundary import check_time
+from ._boundary import blocks, check_time
 from .additive import AdditiveProfile
 from .errors import (
     EigenSolverFailure,
@@ -184,7 +188,17 @@ def multiplicative_flow(mu: SpectralMeasure, n: int, t: float, steps: int, seed:
 
     The expected log|det| is sum_k Re tr dZ_k, since det exp(dZ) =
     exp(tr dZ) and |det U| = 1; it is what |det(U G)| must reproduce.
+
+    The exponentials run on one worker thread while this thread draws the
+    increments and multiplies G @ exp(dZ_k) in step order, so expm(dZ_{k+1})
+    overlaps the product of step k. The worker is one thread, never more:
+    it keeps the expm calls in step order and at most one exponential ahead
+    of the product, so the result is the sequential loop's, bit for bit.
+    A ``NumericalError`` of expm is raised here, after the worker has
+    stopped.
     """
+    from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import
+
     mu.require_circle("multiplicative_flow")
     if n < 2:
         raise ValidationError("n must be >= 2")
@@ -200,17 +214,30 @@ def multiplicative_flow(mu: SpectralMeasure, n: int, t: float, steps: int, seed:
     g = np.eye(n, dtype=complex)
     g_next = np.empty_like(g)
     draw = np.empty((2, n, n))
-    dz = np.empty((n, n), dtype=complex)
+    # step k's increment stays in dz[k % 2] until the worker is done with it
+    dz = np.empty((2, n, n), dtype=complex)
     sd = math.sqrt(t / steps / (2.0 * n))
     log_abs_det = 0.0
-    for _ in range(steps):
-        rng.standard_normal((2, n, n), out=draw)
-        np.multiply(draw[0], sd, out=dz.real)
-        np.multiply(draw[1], sd, out=dz.imag)
-        log_abs_det += float(np.trace(dz).real)
-        np.matmul(g, expm(dz), out=g_next)
-        g, g_next = g_next, g
-    return u @ g, log_abs_det
+
+    def increments():
+        nonlocal log_abs_det
+        for k in range(steps):
+            rng.standard_normal((2, n, n), out=draw)
+            np.multiply(draw[0], sd, out=dz[k % 2].real)
+            np.multiply(draw[1], sd, out=dz[k % 2].imag)
+            log_abs_det += float(np.trace(dz[k % 2]).real)
+            yield dz[k % 2]
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        todo = increments()
+        ahead = worker.submit(expm, next(todo))
+        for step in todo:  # drawn while the worker exponentiates the step before
+            e = ahead.result()
+            ahead = worker.submit(expm, step)
+            np.matmul(g, e, out=g_next)
+            g, g_next = g_next, g
+        np.matmul(g, ahead.result(), out=g_next)
+    return u @ g_next, log_abs_det
 
 
 def sample_multiplicative(
@@ -236,6 +263,24 @@ def _cumtrapz(y, x):
 def _ecdf(samples, at):
     samples = np.sort(samples)
     return np.searchsorted(samples, at, side="right") / len(samples)
+
+
+def _radius_cdf(profile, radii):
+    """CDF(r) = int w_t(theta) log(min(r, 1/r_t)/r_t)+ dtheta at each radius,
+    filled a block of radii at a time so the (radii x angles) table stays
+    within ``_boundary.TABLE_ENTRIES``; each radius is its own trapezoid."""
+    x = profile.thetas
+    hit = profile.r < 1.0
+    log_rt = np.log(profile.r[hit])
+    inv_rt = 1.0 / profile.r[hit]
+    wt = profile.w[hit]
+    cdf = np.empty(len(radii))
+    for rows in blocks(len(radii), len(x)):
+        gain = np.clip(np.log(np.minimum(radii[rows, None], inv_rt)) - log_rt, 0.0, None)
+        full = np.zeros((len(gain), len(x)))
+        full[:, hit] = wt * gain
+        cdf[rows] = np.trapezoid(full, x, axis=1)
+    return cdf
 
 
 #: marginal -> (spectrum model, profile class, the profile's abscissa field)
@@ -276,19 +321,7 @@ def compare_marginal(
         r_in = float(np.min(profile.r))
         bins = 800
         radii = np.linspace(0.97 * r_in, 1.03 / r_in, bins)
-        hit = profile.r < 1.0
-        rt = profile.r[hit]
-        wt = profile.w[hit]
-        # log(min(r, 1/r_t)/r_t) clipped below at 0, per radius grid row
-        gain = np.clip(
-            np.log(np.minimum(radii[:, None], 1.0 / rt[None, :]))
-            - np.log(rt[None, :]),
-            0.0,
-            None,
-        )
-        full = np.zeros((bins, len(x)))
-        full[:, hit] = wt[None, :] * gain
-        cdf = np.trapezoid(full, x, axis=1)
+        cdf = _radius_cdf(profile, radii)
         emp = _ecdf(np.abs(spectrum.eigenvalues), radii)
     dist = float(np.max(np.abs(emp - cdf)))
     return ComparisonReport(spectrum.model, spectrum.n, spectrum.t, marginal, dist, bins)

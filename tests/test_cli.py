@@ -402,3 +402,21 @@ def test_one_parser_per_process(tmp_path, monkeypatch, capsys):
 
     probe = "import freebrown.cli as c; print(c._build_parser.cache_info().currsize)"
     assert _fresh_python(["-c", probe], tmp_path).strip() == "0"
+
+
+def test_cli_import_loads_no_thread_pool(tmp_path):
+    """Importing the CLI loads neither concurrent.futures nor threading: the
+    flow's worker pool is imported when the flow runs, so the start-up every
+    command pays stays as it was. ``-S`` keeps the interpreter's site hooks
+    (.pth files may import threading themselves) out of the count."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, sys.path)])
+    probe = (
+        "import sys, freebrown.cli; "
+        "print(sorted({'concurrent.futures', 'threading'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        cwd=tmp_path, env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import threading
 
 import mpmath
 import numpy as np
@@ -237,7 +238,7 @@ def test_multiplicative_flow_increments_bitwise(monkeypatch):
     seen = []
 
     def record(a):
-        seen.append(a.copy())  # the flow reuses its increment buffer
+        seen.append(a.copy())  # the flow draws later increments into the same buffers
         return np.eye(n)
 
     monkeypatch.setattr(rmt, "expm", record)
@@ -252,6 +253,48 @@ def test_multiplicative_flow_increments_bitwise(monkeypatch):
         ref_logdet += float(np.trace(ref).real)
         assert np.array_equal(dz.view(np.uint64), ref.view(np.uint64))
     assert logdet == ref_logdet
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [SpectralMeasure.haar(), SpectralMeasure.circle_atomic([0.4, -2.1], [0.3, 0.7])],
+    ids=["haar", "circle2"],
+)
+def test_multiplicative_flow_is_the_sequential_product(mu):
+    # the worker thread changes neither the draws nor the order of the products
+    n, t, steps, seed = 12, 0.9, 120, 8
+    mat, logdet = multiplicative_flow(mu, n, t, steps, seed)
+    rng = np.random.default_rng(seed)
+    if mu.is_haar:
+        u = haar_unitary(n, rng)
+    else:
+        u = np.diag(np.exp(1j * np.repeat(mu.locations, allocate_atom_counts(mu.weights, n))))
+    sd = math.sqrt(t / steps / (2.0 * n))
+    g = np.eye(n, dtype=complex)
+    ref_logdet = 0.0
+    for _ in range(steps):
+        dz = sd * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        ref_logdet += float(np.trace(dz).real)
+        g = g @ expm(dz)
+    assert np.array_equal(mat, u @ g)
+    assert logdet == ref_logdet
+
+
+def test_multiplicative_flow_raises_expm_failure(monkeypatch):
+    calls = []
+
+    def failing(a):
+        calls.append(1)
+        if len(calls) == 37:
+            raise NumericalError("expm: result has non-finite entries")
+        return expm(a)
+
+    monkeypatch.setattr(rmt, "expm", failing)
+    threads = threading.active_count()
+    with pytest.raises(NumericalError):
+        multiplicative_flow(SpectralMeasure.haar(), 16, 1.0, 100, 2)
+    assert len(calls) == 37  # nothing ran past the failed step
+    assert threading.active_count() == threads
 
 
 def test_expm_scaling_branch():
@@ -369,6 +412,28 @@ def test_compare_haar_argument(haar_mult_spectrum_500):
     prof = multiplicative_profile(SpectralMeasure.haar(), 1.0, 1441)
     rep = compare_marginal(haar_mult_spectrum_500, prof, "argument")
     assert rep.distance <= 0.05  # vs uniform
+
+
+def _whole_table_radius_cdf(profile, radii):
+    """The radius CDF as one (radii x angles) table, the reference for the
+    blocked ``_radius_cdf``."""
+    hit = profile.r < 1.0
+    rt = profile.r[hit]
+    gain = np.clip(
+        np.log(np.minimum(radii[:, None], 1.0 / rt[None, :])) - np.log(rt[None, :]), 0.0, None
+    )
+    full = np.zeros((len(radii), len(profile.thetas)))
+    full[:, hit] = profile.w[hit][None, :] * gain
+    return np.trapezoid(full, profile.thetas, axis=1)
+
+
+@pytest.mark.parametrize("which", ["haar", "asym"])
+def test_radius_cdf_blocks_match_whole_table(which, haar_measure, asym_circle_measure):
+    mu, t = (haar_measure, 1.0) if which == "haar" else (asym_circle_measure, 0.8)
+    prof = multiplicative_profile(mu, t, 1441)
+    r_in = float(np.min(prof.r))
+    radii = np.linspace(0.97 * r_in, 1.03 / r_in, 800)
+    assert np.array_equal(rmt._radius_cdf(prof, radii), _whole_table_radius_cdf(prof, radii))
 
 
 def test_compare_mismatches(additive_delta0_spectrum_1000):
