@@ -40,18 +40,18 @@ def main():
 
     spectrum = sample_additive(mu, args.n, args.t, args.seed)
     eig = spectrum.eigenvalues
-    write_rows(out / "eigenvalues.csv", "csv", ["re", "im"], [eig.real, eig.imag])
+    write_rows(out / "eigenvalues.csv", ["re", "im"], [eig.real, eig.imag])
 
     prof = additive_profile(mu, args.t, parse_grid(None, mu, args.t))
-    write_rows(out / "support_curve.csv", "csv", ["a", "v", "minus_v"],
+    write_rows(out / "support_curve.csv", ["a", "v", "minus_v"],
                [prof.grid, prof.v, -prof.v])
 
     # push the eigenvalues to the real line: Psi(a+ib) = psi_t(a)
     pushed = psi_t_array(mu, args.t, eig.real)
-    write_rows(out / "pushforward.csv", "csv", ["value"], [pushed])
+    write_rows(out / "pushforward.csv", ["value"], [pushed])
 
     hit = prof.v > 0
-    write_rows(out / "law.csv", "csv", ["y", "p"],
+    write_rows(out / "law.csv", ["y", "p"],
                [prof.psi[hit], prof.v[hit] / (np.pi * args.t)])
 
     print(f"wrote {out}/eigenvalues.csv support_curve.csv pushforward.csv law.csv")

@@ -43,23 +43,23 @@ def main():
 
     spectrum = sample_multiplicative(mu, args.n, args.t, args.steps, args.seed)
     eig = spectrum.eigenvalues
-    write_rows(out / "eigenvalues.csv", "csv", ["re", "im"], [eig.real, eig.imag])
+    write_rows(out / "eigenvalues.csv", ["re", "im"], [eig.real, eig.imag])
 
     prof = multiplicative_profile(mu, args.t, args.n_theta)
     unit = np.exp(1j * prof.thetas)
     inner, outer = prof.r * unit, unit / prof.r
     write_rows(
-        out / "boundary_curves.csv", "csv",
+        out / "boundary_curves.csv",
         ["theta", "inner_re", "inner_im", "outer_re", "outer_im"],
         [prof.thetas, inner.real, inner.imag, outer.real, outer.imag],
     )
 
     # push the eigenvalue arguments through the boundary angle map
     phis = phi_of_theta_array(prof.measure_bar, args.t, np.angle(eig))
-    write_rows(out / "pushforward_arg.csv", "csv", ["phi"], [phis])
+    write_rows(out / "pushforward_arg.csv", ["phi"], [phis])
 
     hit = prof.r < 1.0
-    write_rows(out / "law.csv", "csv", ["phi", "p"],
+    write_rows(out / "law.csv", ["phi", "p"],
                [prof.phi[hit], -np.log(prof.r[hit]) / (np.pi * args.t)])
 
     print(f"wrote {out}/eigenvalues.csv boundary_curves.csv pushforward_arg.csv law.csv")

@@ -3,48 +3,3 @@ self-adjoint / unitary initial conditions, validated against closed forms,
 moment oracles and finite-N random-matrix simulations."""
 
 __version__ = "0.1.0"
-
-from .measures import (
-    SpectralMeasure,
-    cauchy_transform,
-    eta_transform,
-    load_measure,
-    moment_generator_psi,
-    reflect_circle_measure,
-)
-from .additive import (
-    AdditiveProfile,
-    additive_law_density,
-    additive_profile,
-    density_w,
-    pushforward_moments,
-    psi_t,
-    subordination_H,
-    v_t,
-)
-from .multiplicative import (
-    MultiplicativeProfile,
-    T_of_lambda,
-    arg_marginal,
-    density_w_theta,
-    f_value,
-    haar_annulus_check,
-    mult_law_density,
-    multiplicative_profile,
-    phi_map,
-    phi_of_theta,
-    r_t,
-)
-from .cumulants import (
-    free_additive_with_semicircle,
-    free_cumulants_to_moments,
-    moments_of_measure,
-    moments_to_free_cumulants,
-)
-from .rmt import (
-    ComparisonReport,
-    EmpiricalSpectrum,
-    compare_marginal,
-    sample_additive,
-    sample_multiplicative,
-)

@@ -46,7 +46,6 @@ class RunConfig:
     out: str | None = None
     spectrum: str | None = None
     marginal: str | None = None
-    format: str | None = None
 
     def validate(self):
         if self.t is not None:
@@ -101,14 +100,10 @@ def _write_manifest(out, config: RunConfig):
     )
 
 
-def write_rows(path, fmt, header, columns):
+def write_rows(path, header, columns):
     """Equal-length float columns as CSV at 17 significant digits (the
-    whole block in one %-format), or as a JSON list of objects keyed by the
-    header names."""
+    whole block in one %-format)."""
     block = np.column_stack(columns)
-    if fmt == "json":
-        _write_json(path, [dict(zip(header, row)) for row in block.tolist()])
-        return
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -126,8 +121,7 @@ def _run_additive(config: RunConfig):
     if config.command == "additive-density":
         mass = _checked_mass(additive.total_mass(profile))
         write_rows(
-            config.out, config.format, ["a", "v", "w", "psi"],
-            [profile.grid, profile.v, profile.w, profile.psi],
+            config.out, ["a", "v", "w", "psi"], [profile.grid, profile.v, profile.w, profile.psi]
         )
         _write_json(f"{config.out}.intervals.json", additive.support_sidecar(profile))
         max_w = float(np.max(profile.w)) if len(profile.w) else 0.0
@@ -141,7 +135,7 @@ def _run_additive(config: RunConfig):
         hit = profile.v > 0.0
         ys = profile.psi[hit]
         ps = profile.v[hit] / (np.pi * config.t)
-        write_rows(config.out, config.format, ["a", "y", "p"], [profile.grid[hit], ys, ps])
+        write_rows(config.out, ["a", "y", "p"], [profile.grid[hit], ys, ps])
         peak = float(np.max(ps)) if len(ps) else 0.0
         print(f"additive-law: points={int(hit.sum())} peak_density={peak:.6g}")
     _write_manifest(config.out, config)
@@ -156,7 +150,7 @@ def _run_mult(config: RunConfig):
     if config.command == "mult-density":
         mass = _checked_mass(multiplicative.total_mass(profile))
         write_rows(
-            config.out, config.format, ["theta", "r", "phi", "w", "arg_density"],
+            config.out, ["theta", "r", "phi", "w", "arg_density"],
             [profile.thetas, profile.r, profile.phi, profile.w, profile.arg_density],
         )
         _write_json(f"{config.out}.arcs.json", multiplicative.arcs_sidecar(profile))
@@ -169,10 +163,7 @@ def _run_mult(config: RunConfig):
     else:  # mult-law
         hit = profile.r < 1.0
         ps = -np.log(profile.r[hit]) / (np.pi * config.t)
-        write_rows(
-            config.out, config.format, ["theta", "phi", "p"],
-            [profile.thetas[hit], profile.phi[hit], ps],
-        )
+        write_rows(config.out, ["theta", "phi", "p"], [profile.thetas[hit], profile.phi[hit], ps])
         print(f"mult-law: points={int(hit.sum())}")
     _write_manifest(config.out, config)
     return 0
@@ -187,7 +178,7 @@ def _run_simulate(config: RunConfig):
             mu, config.n, config.t, config.steps, config.seed
         )
     eig = spectrum.eigenvalues
-    write_rows(config.out, config.format, ["re", "im"], [eig.real, eig.imag])
+    write_rows(config.out, ["re", "im"], [eig.real, eig.imag])
     _write_json(f"{config.out}.meta.json", rmt.spectrum_metadata(spectrum))
     _write_manifest(config.out, config)
     mean = spectrum.eigenvalues.mean()
@@ -251,7 +242,6 @@ def _build_parser():
                         help="measure JSON file")
         sp.add_argument("--t", type=float, required=True, help="flow time > 0")
         sp.add_argument("--out", required=True, help="output path")
-        sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
     padd = sub.add_parser("additive", help="additive-flow Brown measure")
     sadd = padd.add_subparsers(dest="subcmd", required=True)

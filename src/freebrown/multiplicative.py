@@ -430,14 +430,18 @@ def annulus_radial_cdf(t: float, r: float) -> float:
     return float(np.clip(0.5 + np.log(r) / t, 0.0, 1.0))
 
 
-def haar_annulus_check(t: float, n_radii: int = 33) -> AnnulusCheck:
+#: radii at which ``haar_annulus_check`` compares the two CDFs
+ANNULUS_RADII = 33
+
+
+def haar_annulus_check(t: float) -> AnnulusCheck:
     """Compare the Haagerup-Larsen CDF against the numeric radial integral
     of the annulus density 1/(2 pi t rho^2), taken in s = log rho: the area
     element 2 pi rho drho is 2 pi rho^2 ds, so the integrand stays flat
     across [e^{-t/2}, e^{t/2}] however wide the annulus."""
     _check_time(t)
     r_in, r_out = np.exp(-0.5 * t), np.exp(0.5 * t)
-    radii = np.linspace(r_in, r_out, n_radii)
+    radii = np.linspace(r_in, r_out, ANNULUS_RADII)
     cdf_s = np.array([annulus_radial_cdf(t, r) for r in radii])
 
     def dens(s):  # no rho^2, which overflows for t past ~709

@@ -18,7 +18,6 @@ Sampling is bitwise deterministic per seed (numpy default_rng).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -334,28 +333,28 @@ def spectrum_metadata(spectrum: EmpiricalSpectrum) -> dict:
 
 
 def load_spectrum(path, meta: dict) -> EmpiricalSpectrum:
-    """Eigenvalues written by ``simulate``: CSV rows re,im, or the JSON list
-    of {"re", "im"} objects of ``--format json``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Eigenvalues written by ``simulate``: a ``re,im`` header, then one CSV
+    row of finite values per eigenvalue, as many rows as the metadata's n."""
     try:
-        if text.lstrip().startswith("["):
-            data = [(row["re"], row["im"]) for row in json.loads(text)]
-        else:
-            data = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1)
-        data = np.atleast_2d(np.asarray(data, dtype=float))
-        eig = data[:, 0] + 1j * data[:, 1]
-    except (ValueError, TypeError, KeyError, IndexError) as exc:
-        raise ValidationError(f"unreadable spectrum file {path}: {exc}") from exc
-    try:
-        check_time(float(meta["t"]))
-        return EmpiricalSpectrum(
-            eig,
-            int(meta["n"]),
-            float(meta["t"]),
-            str(meta["model"]),
-            int(meta["seed"]),
-            None if meta.get("steps") is None else int(meta["steps"]),
-        )
+        t, n, model = float(meta["t"]), int(meta["n"]), str(meta["model"])
+        check_time(t)
+        steps = None if meta.get("steps") is None else int(meta["steps"])
+        seed = int(meta["seed"])
     except (ValueError, TypeError, KeyError, AttributeError, NonpositiveTime) as exc:
         raise ValidationError(f"bad spectrum metadata for {path}: {exc!r}") from exc
+    if model not in (ADDITIVE, MULTIPLICATIVE) or n < 2:
+        raise ValidationError(
+            f"bad spectrum metadata for {path}: model {model!r}, n={n}; "
+            f"want {ADDITIVE} or {MULTIPLICATIVE}, and n >= 2"
+        )
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = fh.read().splitlines()[1:]
+    if len(rows) != n:  # checked before loadtxt, which warns on a file with no rows
+        raise ValidationError(f"spectrum file {path} has {len(rows)} rows, its metadata n={n}")
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"unreadable spectrum file {path}: {exc}") from exc
+    if data.shape != (n, 2) or not np.all(np.isfinite(data)):
+        raise ValidationError(f"spectrum file {path} must hold {n} rows of two finite values")
+    return EmpiricalSpectrum(data[:, 0] + 1j * data[:, 1], n, t, model, seed, steps)

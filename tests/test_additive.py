@@ -306,7 +306,7 @@ def test_vertical_constancy_by_construction():
 def test_csv_and_sidecar(tmp_path):
     prof = additive_profile(D0, 1.0, np.linspace(-2, 2, 101))
     path = tmp_path / "prof.csv"
-    write_rows(path, "csv", ["a", "v", "w", "psi"], [prof.grid, prof.v, prof.w, prof.psi])
+    write_rows(path, ["a", "v", "w", "psi"], [prof.grid, prof.v, prof.w, prof.psi])
     lines = path.read_text().splitlines()
     assert lines[0] == "a,v,w,psi"
     assert len(lines) == 102

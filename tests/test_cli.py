@@ -91,16 +91,14 @@ def test_mult_density_run(tmp_path, capsys):
     assert "mass=1.000000" in capsys.readouterr().out
 
 
-def test_mult_law_json_format(tmp_path):
+def test_mult_law_run(tmp_path):
     mpath = write_measure(tmp_path, HAAR, "h.json")
-    out = tmp_path / "law.json"
-    assert main(
-        ["mult", "law", "--measure", mpath, "--t", "2", "--out", str(out),
-         "--format", "json"]
-    ) == 0
-    rows = json.loads(out.read_text())
-    assert rows[0].keys() == {"theta", "phi", "p"}
-    assert rows[0]["p"] == pytest.approx(1.0 / (2.0 * np.pi))
+    out = tmp_path / "law.csv"
+    assert main(["mult", "law", "--measure", mpath, "--t", "2", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "theta,phi,p"
+    theta, phi, p = np.loadtxt(str(out), delimiter=",", skiprows=1).T
+    # the Haar law is uniform on the circle at every t
+    assert np.allclose(p, 1.0 / (2.0 * np.pi), rtol=1e-12)
 
 
 def test_check_haar(tmp_path, capsys):
@@ -261,23 +259,72 @@ def test_mass_gate_grid_misses_support(tmp_path, capsys):
     assert err.startswith("mass=0.000000000 ")
 
 
-def test_compare_reads_json_spectrum(tmp_path, capsys):
+def _haar_spectrum(tmp_path, n=60):
+    """A Haar measure file and an n-eigenvalue spectrum simulated from it."""
     mpath = write_measure(tmp_path, HAAR, "h.json")
-    eig = tmp_path / "s.json"
+    eig = tmp_path / "s.csv"
     assert main(
-        ["simulate", "mult", "--measure", mpath, "--t", "1", "--n", "50",
-         "--steps", "100", "--seed", "1", "--format", "json", "--out", str(eig)]
+        ["simulate", "mult", "--measure", mpath, "--t", "1", "--n", str(n),
+         "--steps", "100", "--seed", "1", "--out", str(eig)]
     ) == 0
-    assert main(
-        ["compare", "--spectrum", str(eig), "--measure", mpath,
-         "--marginal", "radius"]
-    ) == 0
-    assert "distance=" in capsys.readouterr().out
-    eig.write_text("[{\"re\": 1.0}]")
-    assert main(
-        ["compare", "--spectrum", str(eig), "--measure", mpath,
-         "--marginal", "radius"]
-    ) == 2
+    return mpath, eig
+
+
+def test_compare_rejects_json_spectrum(tmp_path, capsys):
+    """The spectrum is read as CSV only: a JSON list of {"re", "im"} rows,
+    the form an older ``--format json`` wrote, exits 2."""
+    mpath, eig = _haar_spectrum(tmp_path)
+    argv = ["compare", "--spectrum", str(eig), "--measure", mpath, "--marginal", "radius"]
+    assert main(argv) == 0
+    re, im = np.loadtxt(str(eig), delimiter=",", skiprows=1).T
+    rows = [{"re": a, "im": b} for a, b in zip(re.tolist(), im.tolist())]
+    for text in (json.dumps(rows, indent=2), json.dumps(rows)):
+        eig.write_text(text)
+        assert main(argv) == 2
+        assert str(eig) in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def _nan_rows(eig, meta):
+    lines = eig.read_text().splitlines()
+    eig.write_text("\n".join(lines[:31] + ["nan,nan"] * 30) + "\n")
+
+
+def _header_only(eig, meta):
+    eig.write_text("re,im\n")
+
+
+def _three_columns(eig, meta):
+    lines = eig.read_text().splitlines()
+    eig.write_text("\n".join(lines[:1] + [row + ",0" for row in lines[1:]]) + "\n")
+
+
+def _wrong_n(eig, meta):
+    meta["n"] = 7
+
+
+def _unknown_model(eig, meta):
+    meta["model"] = "banana"
+
+
+@pytest.mark.parametrize(
+    "spoil", [_nan_rows, _header_only, _three_columns, _wrong_n, _unknown_model]
+)
+def test_compare_checks_spectrum_file(tmp_path, capsys, spoil):
+    """A non-finite eigenvalue, rows other than the metadata's n pairs re,im
+    and a model that is neither additive nor multiplicative each exit 2 with
+    the spectrum file named, instead of a distance or a misleading message."""
+    mpath, eig = _haar_spectrum(tmp_path)
+    meta_path = tmp_path / "s.csv.meta.json"
+    meta = json.loads(meta_path.read_text())
+    spoil(eig, meta)
+    meta_path.write_text(json.dumps(meta))
+    for marginal in ("radius", "argument"):
+        out = tmp_path / f"{marginal}.json"
+        argv = ["compare", "--spectrum", str(eig), "--measure", mpath,
+                "--marginal", marginal, "--out", str(out)]
+        assert main(argv) == 2
+        assert str(eig) in json.loads(capsys.readouterr().err.strip())["error"]
+        assert not out.exists()
 
 
 def test_write_rows_matches_per_value_format(tmp_path):
@@ -287,11 +334,9 @@ def test_write_rows_matches_per_value_format(tmp_path):
     row = [0.0, -0.0, np.inf, -np.inf, 5e-324, 1 / 3, 1e300, -2.5]
     header = [f"c{i}" for i in range(len(row))]
     path = tmp_path / "row.csv"
-    write_rows(path, "csv", header, [np.array([x]) for x in row])
+    write_rows(path, header, [np.array([x]) for x in row])
     want = ",".join(header) + "\n" + ",".join(f"{x:.17g}" for x in row) + "\n"
     assert path.read_bytes() == want.encode()
-    write_rows(path, "json", header, [np.array([x]) for x in row])
-    assert json.loads(path.read_text()) == [dict(zip(header, row))]
 
 
 def test_malformed_spectrum_metadata_exit_code(tmp_path, capsys):
@@ -333,28 +378,35 @@ def test_directory_as_input_exit_code(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().err.strip())
 
 
-def test_json_only_commands_reject_format(tmp_path, capsys):
-    """compare and check haar always write JSON: no --format, and no format
-    in their manifests."""
-    mpath = write_measure(tmp_path, HAAR, "h.json")
-    eig = tmp_path / "s.csv"
-    assert main(
-        ["simulate", "mult", "--measure", mpath, "--t", "1", "--n", "20",
-         "--steps", "100", "--seed", "1", "--out", str(eig)]
-    ) == 0
-    compare = ["compare", "--spectrum", str(eig), "--measure", mpath,
-               "--marginal", "radius", "--out", str(tmp_path / "c.json")]
-    check = ["check", "haar", "--t", "1", "--out", str(tmp_path / "k.json")]
-    for argv in (compare, check):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--format", "csv"])
-        assert exc.value.code == 2
+def test_no_command_takes_format(tmp_path, capsys):
+    """CSV is the one row format: every subcommand rejects ``--format``
+    (exit 2), and no manifest records a format."""
+    mpath, eig = _haar_spectrum(tmp_path)
+    d0 = write_measure(tmp_path, DELTA0, "d0.json")
+    runs = {
+        "add_density.csv": ["additive", "density", "--measure", d0, "--t", "1"],
+        "add_law.csv": ["additive", "law", "--measure", d0, "--t", "1"],
+        "mult_density.csv": ["mult", "density", "--measure", mpath, "--t", "1", "--n-theta", "64"],
+        "mult_law.csv": ["mult", "law", "--measure", mpath, "--t", "1", "--n-theta", "64"],
+        "sim_add.csv": ["simulate", "additive", "--measure", d0, "--t", "1", "--n", "20",
+                        "--seed", "1"],
+        "sim_mult.csv": ["simulate", "mult", "--measure", mpath, "--t", "1", "--n", "20",
+                         "--steps", "100", "--seed", "1"],
+        "compare.json": ["compare", "--spectrum", str(eig), "--measure", mpath,
+                         "--marginal", "radius", "--n-theta", "64"],
+        "check.json": ["check", "haar", "--t", "1"],
+    }
+    for name, argv in runs.items():
+        argv = argv + ["--out", str(tmp_path / name)]
+        for fmt in ("csv", "json"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--format", fmt])
+            assert exc.value.code == 2
         assert main(argv) == 0
-    for name in ("c.json", "k.json"):
+    capsys.readouterr()
+    for name in [*runs, "s.csv"]:
         manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
-        assert manifest["config"]["format"] is None
-    sim = json.loads((tmp_path / "s.csv.manifest.json").read_text())
-    assert sim["config"]["format"] == "csv"
+        assert "format" not in manifest["config"]
 
 
 def _fresh_python(args, cwd):

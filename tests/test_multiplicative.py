@@ -437,7 +437,7 @@ def test_csv_and_sidecar(tmp_path):
     prof = multiplicative_profile(D0C, 1.0, 64)
     path = tmp_path / "prof.csv"
     write_rows(
-        path, "csv", ["theta", "r", "phi", "w", "arg_density"],
+        path, ["theta", "r", "phi", "w", "arg_density"],
         [prof.thetas, prof.r, prof.phi, prof.w, prof.arg_density],
     )
     lines = path.read_text().splitlines()

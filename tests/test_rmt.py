@@ -464,7 +464,7 @@ def test_spectrum_roundtrip(tmp_path):
     spec = sample_additive(TWO, 32, 0.7, 123)
     path = tmp_path / "eig.csv"
     eig = spec.eigenvalues
-    write_rows(path, "csv", ["re", "im"], [eig.real, eig.imag])
+    write_rows(path, ["re", "im"], [eig.real, eig.imag])
     assert path.read_text().splitlines()[0] == "re,im"
     meta = spectrum_metadata(spec)
     assert meta == {"model": "additive", "n": 32, "t": 0.7, "seed": 123, "steps": None}
