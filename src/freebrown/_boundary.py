@@ -58,21 +58,21 @@ def solve(lo, hi, x, evaluate):
     """Roots of independent monotone equations, one per row of a block.
 
     ``lo`` and ``hi`` bracket the roots and ``x`` holds first iterates
-    inside them; ``evaluate(x) -> (done, below, newton)`` says whether x
-    meets the residual target, whether the root lies above x, and gives the
-    Newton candidate from x. A Newton candidate outside the bracket is
-    replaced by its midpoint. Frozen points stay in the block: the
-    evaluations wasted on them cost less than compacting its arrays.
+    inside them; ``evaluate(x) -> (done, below, newton, tables)`` says
+    whether x meets the residual target, whether the root lies above x, and
+    gives the Newton candidate from x and what the caller keeps of x. A
+    Newton candidate outside the bracket is replaced by its midpoint. Frozen
+    points stay in the block and keep their iterate (the evaluations wasted
+    on them cost less than compacting its arrays), so the last evaluation,
+    whose ``tables`` are returned with the roots, is made at the roots.
     """
-    root = np.empty_like(x)
     frozen = np.zeros(x.shape, dtype=bool)
     for _ in range(MAX_ITER):
-        done, below, newton = evaluate(x)
-        hit = done & ~frozen
-        root[hit] = x[hit]
-        frozen |= hit
+        done, below, newton, tables = evaluate(x)
+        frozen |= done
         if np.all(frozen):
-            return root
+            return x, tables
+        del tables  # freed before the next evaluation builds its own
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
         step = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
@@ -123,11 +123,11 @@ def outside_gaps(indicator, level, slope, left, right, w_left, w_right):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             g, dg = slope(x)
             step = g / dg
-        return np.abs(step) <= tol[sl], g > 0.0, x - step
+        return np.abs(step) <= tol[sl], g > 0.0, x - step, None
 
     m = np.empty(len(i))
     # the slope table has one column per atom, at most len(left) + 1 of them
     for sl in blocks(len(i), len(left) + 1):
-        m[sl] = solve(lo[sl], hi[sl], first[sl], partial(evaluate, sl))
+        m[sl] = solve(lo[sl], hi[sl], first[sl], partial(evaluate, sl))[0]
     kept = indicator(m) < level
     return i[kept], m[kept]

@@ -26,9 +26,9 @@ of that law at psi_t(a) is v_t(a)/(pi t), and w_t = psi_t'/(2 pi t).
 
 All three come from one pass over each block of points (``_rows``), which
 forms a - x_j once for the support test, the v_t solve and the w_t and psi_t
-rows; every public function of them is a column of that pass. The Newton
-step's sums S = sum_j w_j/D_j and B = sum_j w_j/D_j^2 = -dS/ds, taken once
-more at the roots, also give the rows: B is the denominator of d(v_t^2)/da.
+rows; every public function of them is a column of that pass. The rows read
+the Newton step's last tables, at the roots: B = sum_j w_j/D_j^2 = -dS/ds is
+also the denominator of d(v_t^2)/da.
 """
 
 from __future__ import annotations
@@ -60,6 +60,15 @@ def _sum_inv_sq(mu, a):
         return np.divide(mu.weights[None, :], d, out=d).sum(axis=1)
 
 
+def _tables(s, d2, wj):
+    """The tables w_j/D_j and w_j/D_j^2 at s, D_j = d_j^2 + s, and their
+    sums S and B."""
+    D = d2 + s[:, None]
+    inv = wj / D
+    T = np.divide(inv, D, out=D)
+    return inv, T, inv.sum(axis=1), T.sum(axis=1)
+
+
 def _rows(mu, t, a, what="v_t"):
     """(v_t, w_t, psi_t) at every point of ``a``, one ``blocks`` slice at a time.
 
@@ -72,45 +81,45 @@ def _rows(mu, t, a, what="v_t"):
     below the root (each term alone is at most 1/t there), exact for one
     atom and positive at an atom. The root never exceeds t since S(s) <= 1/s.
 
-    One more evaluation at the roots (s = 0 outside the strip) gives the
-    rows: psi_t at every point from the table w_j/D_j, and w_t inside the
-    strip from the table w_j/D_j^2 and d(v^2)/da = -2 A/B, A = sum_j w_j
-    d_j/D_j^2, by implicit differentiation of S = 1/t.
+    The rows read the tables of the solve's last evaluation, made at the
+    roots: psi_t from the table w_j/D_j, and w_t from the table w_j/D_j^2
+    and d(v^2)/da = -2 A/B, A = sum_j w_j d_j/D_j^2, by implicit
+    differentiation of S = 1/t. Outside the strip (s = 0) psi_t comes from
+    the table w_j/d_j^2 of the support test, and w_t = 0.
     """
     mu.require_real(what)
     check_time(t)
     a = finite_points(a, "point")
     target, x, wj = 1.0 / t, mu.locations[None, :], mu.weights[None, :]
 
-    def at(s, d2):
-        """The tables w_j/D_j and w_j/D_j^2 at s, with S and B."""
-        D = d2 + s[:, None]
-        inv = wj / D
-        T = np.divide(inv, D, out=D)
-        return inv, T, inv.sum(axis=1), T.sum(axis=1)
-
     def evaluate(s, d2):
-        _, _, S, B = at(s, d2)
+        inv, T, S, B = _tables(s, d2, wj)
         # s > 0: a point inside the strip never freezes at v = 0
         done = (np.abs(S - target) <= RESIDUAL_REL * target) & (s > 0.0)
-        return done, S > target, s + t * S * (S - target) / B
+        return done, S > target, s + t * S * (S - target) / B, (inv, T, B)
 
-    v, w, psi = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+    v, w, psi = np.zeros_like(a), np.zeros_like(a), np.empty_like(a)
     for sl in blocks(len(a), len(mu.locations)):
         d = a[sl, None] - x
         d2 = d * d
         with np.errstate(divide="ignore", over="ignore"):  # +inf at an atom
-            inside = (wj / d2).sum(axis=1) > target
-        s, d2_in = np.zeros(len(d2)), d2[inside]
-        s0 = np.maximum(0.0, np.max(t * wj - d2_in, axis=1))
-        s[inside] = solve(s0, t, s0, partial(evaluate, d2=d2_in))
-        v[sl] = np.sqrt(s)
-        inv, T, _, B = at(s, d2)
-        psi[sl] = a[sl] + t * (inv * d).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # B = 0 far outside
-            dv2 = -2.0 * (T * d).sum(axis=1) / B
-        dI2 = -(T * x * (2.0 * d + dv2[:, None])).sum(axis=1)
-        w[sl] = np.where(inside, (1.0 / (np.pi * t)) * (1.0 - 0.5 * t * dI2), 0.0)
+            inv = wj / d2
+        inside = inv.sum(axis=1) > target
+        vb, wb, psib, ab, out = v[sl], w[sl], psi[sl], a[sl], ~inside
+        psib[out] = ab[out] + t * (inv[out] * d[out]).sum(axis=1)
+        del inv  # each table is freed or reused once done with: fewer held at once
+        d2 = d2[inside]
+        s0 = np.maximum(0.0, np.max(t * wj - d2, axis=1))
+        s, (inv, T, B) = solve(s0, t, s0, partial(evaluate, d2=d2))
+        d = d[inside]
+        vb[inside] = np.sqrt(s)
+        psib[inside] = ab[inside] + t * np.multiply(inv, d, out=inv).sum(axis=1)
+        dv2 = -2.0 * np.multiply(T, d, out=inv).sum(axis=1) / B
+        d *= 2.0
+        d += dv2[:, None]
+        T *= x
+        T *= d  # w_j x_j (2 d_j + d(v^2)/da)/D_j^2, whose sum is -dI2/da
+        wb[inside] = (1.0 / (np.pi * t)) * (1.0 + 0.5 * t * T.sum(axis=1))
     return v, w, psi
 
 

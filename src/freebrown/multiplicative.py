@@ -13,32 +13,34 @@ The boundary radius function is the implicit root of
 
 against 1/t: r_t(theta) is the unique root in (0,1) when the circle limit
 f(1-, theta) exceeds 1/t, else 1 (f is strictly increasing in r on (0,1) and
-satisfies f(r) = f(1/r)). It is found by Newton's method on 1/f = t in
-x = -log r, which is exact for Haar, with a bisection step whenever the
-Newton step leaves the bracket. Inside the support annulus sector
-{r_t < r < 1/r_t} the planar density in polar coordinates is w_t(theta)/r^2
-with
+satisfies f(r) = f(1/r)). With x = -log r, p = (1-r)^2/r = 4 sinh^2(x/2) and
+q4_j = 4 sin^2(u_j/2), the identity 1 - 2 r cos u_j + r^2 = r (p + q4_j)
+gives
+
+    f = sinh(x)/x * sum_j w_j/(p + q4_j) = tanh(x/2)/(2x) * sum_j iota_j,
+    iota_j = w_j (4 + p)/(p + q4_j),
+
+the additive's sum in p. r_t is found by Newton's method on 1/f = t in
+u = log(1 + p/4) = 2 log cosh(x/2), which behaves like p/4 near the arc ends
+and like x at large t, with a bisection step whenever the Newton step leaves
+the bracket. Inside the support annulus sector {r_t < r < 1/r_t} the planar
+density in polar coordinates is w_t(theta)/r^2 with
 
     w_t(theta) = (1/4pi) (2/t + dm_t/dtheta) = (1/(2 pi t)) dphi/dtheta,
 
 where m_t(theta) = 2 sum_j w_j r sin u_j / D_j and phi(theta) =
 theta + (t/2) m_t(theta) is the continuous boundary angle map; r_t'(theta)
-enters dm_t/dtheta through implicit differentiation -f_theta/f_r of the
-defining identity, so no finite differences appear. f_r = -e^x f_x is the
-x-slope the Newton step already uses: one function of x (``_at``) gives f,
-f_x and the sums of the rows, at each Newton iterate and once more at the
-roots, and f_value is the same function at one point. The Haar measure
-short-circuits every formula: r_t = exp(-t/2), phi = theta,
-w_t = 1/(2 pi t).
+enters dm_t/dtheta through implicit differentiation of the defining
+identity, so no finite differences appear. One function of (p, x)
+(``_tables``) gives f, its u-slope and the iota tables, at each Newton
+iterate and, in f_value, at one point. The Haar measure short-circuits every
+formula: r_t = exp(-t/2), phi = theta, w_t = 1/(2 pi t).
 
-Everything is formed from x: 1 - r = -expm1(-x) is exact where the float
-r = e^{-x} cannot carry it, D = (1-r)^2 + 4 r sin^2(u/2) stays accurate as
-r -> 1, and the slope of g = (1-r^2)/(2x) switches to its series for small
-x, where its direct form cancels. One pass over each block of angles
-(``_rows``) takes one sin and one cos of u/2 for the support test, the r_t
-solve and the (r, phi, w, m) rows; every public function of them is a
-column of that pass. Times past T_MAX are refused: there e^{-x} underflows
-for some root x = -log r_t.
+Everything is formed from u (p = 4 expm1(u), x = 2 asinh(sqrt(expm1 u))),
+exact where the float r = e^{-x} cannot carry 1 - r. One pass over each block
+of angles (``_rows``) serves the support test, the r_t solve and the rows;
+every public function of them is a column of that pass. Times past T_MAX are
+refused: there e^{-x} underflows for some root x = -log r_t.
 """
 
 from __future__ import annotations
@@ -61,8 +63,6 @@ from .errors import InvalidRadius, OutsideU, PoleAtAtom, ValidationError, ZeroLa
 from .measures import SpectralMeasure, reflect_circle_measure
 from .quadrature import integrate_adaptive
 
-#: upper bracket: roots are separated from 1 by the f(1-,theta) > 1/t margin
-R_BRACKET_HI = 1.0 - 1e-15
 _TINY = np.finfo(float).tiny
 #: -log of the smallest normal float: e^{-x} is normal for x <= X_NORMAL
 X_NORMAL = -np.log(_TINY)
@@ -70,8 +70,6 @@ X_NORMAL = -np.log(_TINY)
 #: x_hi(t) = t/4 + sqrt(t^2/16 + t) <= X_NORMAL exactly when t <= 2 X^2/(2 + X)
 #: (about 1412.8); past it r_t = e^{-x} (and the Haar e^{-t/2}) underflows
 T_MAX = 2.0 * X_NORMAL**2 / (2.0 + X_NORMAL)
-#: below this x = -log r the slope of g comes from its series
-X_SERIES = 1e-2
 
 
 def _check_time(t):
@@ -83,66 +81,50 @@ def _check_time(t):
         )
 
 
-def _g_slope(x, r, g):
-    """dg/dx of g = (1 - e^{-2x})/(2x) at x = -log r > 0.
-
-    The direct form (r^2 - g)/x cancels as x -> 0, to about 1e-16/x
-    relative, so below X_SERIES it is the series
-    sum_{n>=1} n (-2)^n x^(n-1)/(n+1)!, whose first omitted term is under
-    6e-17 there.
-    """
-    dg = (r * r - g) / x
-    small = x < X_SERIES
-    if small.any():
-        y = x[small]
-        dg[small] = -1.0 + y * (
-            4 / 3 + y * (-1.0 + y * (8 / 15 + y * (-2 / 9 + y * (8 / 105 - y / 45))))
-        )
-    return dg
+def _log_g_slope(x, p, tau):
+    """d ln g/du = 2/p - 1/(x tau) of g = tanh(x/2)/(2x), u = 2 log cosh(x/2),
+    p = 4 sinh^2(x/2), tau = tanh(x/2). The two terms cancel from 2/x^2 to
+    about -1/3, so below x = 0.1 (where that costs 1e-13 relative) it is the
+    series in x^2, whose first omitted term is under 2e-18 there."""
+    y = x * x
+    series = -1 / 3 + y * (1 / 90 + y * (-1 / 2520 + y * (1 / 75600 - y / 2395008)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 takes the series
+        return np.where(x < 0.1, series, 2.0 / p - 1.0 / (x * tau))
 
 
-def _at(x, q4, wj):
-    """What f_value, the solve and the rows of one block take from
-    x = -log r: (r, c = 1 - r, g, the tables w_j/D_j and w_j/D_j^2,
-    S_D2 = sum_j w_j/D_j^2, S_qD2 = sum_j w_j q4_j/D_j^2, f, f_x), with
-    D = c^2 + r q4 and g = (1 - r^2)/(2x) = c (1 + r)/(2x).
-
-    dc/dx = r and dD/dx = r (2c - q4), so f = g S1 has
-    f_x = g' S1 - g r (2c S_D2 - S_qD2), S1 = sum_j w_j/D_j.
-
-    x = 0 (r = 1, where the rows continue m and phi outside U_t) divides
-    by the smallest normal float instead of 0: g = f = 0 there and every
-    column stays finite; the rows set w = 0 at those angles.
-    """
-    r = np.exp(-x)
-    c = -np.expm1(-x)
-    D = r[:, None] * q4
-    D += (c * c)[:, None]
-    inv = wj / D
-    T = inv / D
-    S1 = inv.sum(axis=1)
-    S_D2 = T.sum(axis=1)
-    S_qD2 = np.multiply(T, q4, out=D).sum(axis=1)
-    x = np.maximum(x, _TINY)
-    g = c * (1.0 + r) / (2.0 * x)
-    f_x = _g_slope(x, r, g) * S1 - g * r * (2.0 * c * S_D2 - S_qD2)
-    return r, c, g, inv, T, S_D2, S_qD2, g * S1, f_x
+def _tables(p, x, q4, wj):
+    """(iota, kappa, S_iota, S_kappa, f, d ln f/du) at p = 4 sinh^2(x/2):
+    iota_j = w_j (4 + p)/(p + q4_j), kappa_j = iota_j (4 + p)/(p + q4_j),
+    f = tanh(x/2)/(2x) S_iota and d ln f/du = d ln g/du + 1 - S_kappa/S_iota,
+    as d iota_j/du = iota_j (q4_j - 4)/(p + q4_j). Both tables tend to w_j
+    as p grows, where w_j/(p + q4_j)^2 underflows (past t ~ 700)."""
+    a = 1.0 / (4.0 + p)
+    R = q4 * a[:, None]
+    R += (p * a)[:, None]
+    iota = wj / R
+    kappa = np.divide(iota, R, out=R)
+    S_i, S_k = iota.sum(axis=1), kappa.sum(axis=1)
+    tau = np.tanh(0.5 * x)
+    g = np.divide(tau, 2.0 * x, out=np.full_like(x, 0.25), where=x > 0.0)
+    return iota, kappa, S_i, S_k, g * S_i, _log_g_slope(x, p, tau) + 1.0 - S_k / S_i
 
 
 def f_value(mu_bar: SpectralMeasure, r: float, theta: float) -> float:
     """f(r, theta); canonicalized through f(r) = f(1/r) for r > 1.
 
-    Haar returns the closed form 1/(-2 log r).
+    Haar, and any measure below the smallest normal r (where the sum is 1
+    to rounding), returns the closed form 1/(-2 log r).
     """
     mu_bar.require_circle("f_value")
     if r <= 0.0 or r == 1.0:
         raise InvalidRadius(f"f is singular at r={r}")
     if r > 1.0:
         r = 1.0 / r
-    if mu_bar.is_haar:
+    if mu_bar.is_haar or r < _TINY:
         return float(1.0 / (-2.0 * np.log(r)))
     q4 = 4.0 * np.sin(0.5 * (float(theta) + mu_bar.locations[None, :])) ** 2
-    return float(_at(np.array([-np.log(r)]), q4, mu_bar.weights[None, :])[-2][0])
+    p, x = np.array([(1.0 - r) ** 2 / r]), np.array([-np.log(r)])
+    return float(_tables(p, x, q4, mu_bar.weights[None, :])[4][0])
 
 
 def f_limit_at_circle(mu_bar: SpectralMeasure, theta) -> np.ndarray:
@@ -204,26 +186,24 @@ def phi_map(mu_bar: SpectralMeasure, t: float, z: complex) -> complex:
 def _rows(mu_bar, t, thetas):
     """(r, phi, w, m) at every angle, one ``blocks`` slice at a time.
 
-    Each block builds h_j = u_j/2, sin h_j, cos h_j and q4_j = 4 sin^2 h_j
-    once, for the support test f(1-, theta) = sum_j w_j/q4_j > 1/t, the r_t
-    solve and the rows. Both the solve and the rows take f and its slope
-    f_x from ``_at``, a function of x = -log r.
+    Each block builds sin h_j, h_j = u_j/2, and q4_j = 4 sin^2 h_j once, for
+    the support test f(1-, theta) = sum_j w_j/q4_j > 1/t, the solve and the
+    rows; cos h_j comes by angle addition from theta/2 and beta_j/2.
 
-    r_t comes from bracketed Newton on 1/f = t in x, where 1/f = 2x for
-    Haar, started from the Haar root t/2. The iterate is x, and f is formed
-    from x (1 - r = -expm1(-x)), so the residual target is met even where
-    1 - r is too small for the float r to carry it; r = e^{-x} is then its
-    correct rounding. The bracket runs from R_BRACKET_HI to the closed form
-    x_hi = t/4 + sqrt(t^2/16 + t): D >= (1-r)^2 gives f <= 1/(2x tanh(x/2)),
-    and tanh y >= y/(1+y) bounds that by (2+x)/(2x^2) <= 1/t for x >= x_hi.
+    r_t comes from bracketed Newton on 1/f = t in u from u_0 = log(1 + p_0/4),
+    p_0 = max(0, max_j(t w_j - q4_j)), below the root since sinh(x)/x >= 1 and
+    one term alone reaches 1/t there, up to u at x_hi = t/4 + sqrt(t^2/16 + t):
+    D >= (1-r)^2 gives f <= 1/(2x tanh(x/2)), and tanh y >= y/(1+y) bounds
+    that by (2+x)/(2x^2) <= 1/t for x >= x_hi.
 
-    One more ``_at`` call at the roots gives the rows: m = 2 r sum_j w_j
-    sin u_j/D_j with sin u = 2 sin h cos h, and w from dm/dtheta, where
-    dr/dtheta = -f_theta/f_r by implicit differentiation of f = 1/t, with
-    f_r = -e^x f_x and f_theta = -2 r g sum_j w_j sin u_j/D_j^2. phi comes
-    out as the continuous representative directly (it is a finite sum of
-    continuous terms, not a principal-branch argument). Outside U_t (x = 0,
-    r = 1) phi and m are the unit-circle continuations and w = 0.
+    The rows read the tables of the solve's last evaluation, made at the
+    roots: m = 2 sum_j iota_j sin u_j/(4 + p), sin u = 2 sin h cos h, and w
+    from dm/dtheta, where du/dtheta = -(d ln f/dtheta)/(d ln f/du) by
+    implicit differentiation of f = 1/t, with d ln f/dtheta = -2 sum_j
+    kappa_j sin u_j/((4 + p) S_iota). phi is the continuous representative
+    (a finite sum of continuous terms, not a principal-branch argument).
+    Outside U_t (x = 0, r = 1) phi and m are the unit-circle continuations,
+    from the support test's table w_j/q4_j, and w = 0.
     """
     mu_bar.require_circle("r_t")
     _check_time(t)
@@ -232,39 +212,50 @@ def _rows(mu_bar, t, thetas):
         r = np.full_like(th, np.exp(-0.5 * t))
         w = np.full_like(th, 1.0 / (2.0 * np.pi * t))
         return r, th.copy(), w, np.zeros_like(th)
-    target = 1.0 / t
-    wj = mu_bar.weights[None, :]
-    lo, hi = -np.log(R_BRACKET_HI), 0.25 * t + np.sqrt(t * t / 16.0 + t)
-    x0 = max(0.5 * t, lo)
+    target, half = 1.0 / t, 0.5 * mu_bar.locations
+    wj, tw, cb, sb = mu_bar.weights[None, :], t * mu_bar.weights, np.cos(half), np.sin(half)
+    u_hi = np.log1p(np.sinh(0.125 * t + 0.5 * np.sqrt(t * t / 16.0 + t)) ** 2)
 
-    def evaluate(x, q4):
-        *_, f, f_x = _at(x, q4, wj)
-        done = np.abs(f - target) <= RESIDUAL_REL * target
-        return done, f > target, x + f * (1.0 - t * f) / f_x
+    def evaluate(u, q4):
+        e = np.expm1(u)
+        p, x = 4.0 * e, 2.0 * np.arcsinh(np.sqrt(e))
+        *tables, f, slope = _tables(p, x, q4, wj)
+        # u > 0: a point inside U_t never freezes at r = 1
+        done = (np.abs(f - target) <= RESIDUAL_REL * target) & (u > 0.0)
+        return done, f > target, u + (1.0 - t * f) / slope, (p, x, *tables, slope)
 
-    r, m, w = np.empty_like(th), np.empty_like(th), np.empty_like(th)
+    r, m, w = np.ones_like(th), np.empty_like(th), np.zeros_like(th)
     for sl in blocks(len(th), len(mu_bar.locations)):
-        h = 0.5 * (th[sl, None] + mu_bar.locations[None, :])
-        sh, ch = np.sin(h), np.cos(h)
-        q4 = 4.0 * sh * sh
-        with np.errstate(divide="ignore", over="ignore"):  # +inf at an atom
-            inside = (wj / q4).sum(axis=1) > target
-        x, q4_in = np.zeros(len(q4)), q4[inside]
-        x[inside] = solve(lo, hi, np.full(len(q4_in), x0), partial(evaluate, q4=q4_in))
-        rb, c, g, inv, T, S_D2, S_qD2, _, f_x = _at(x, q4, wj)
-        su = 2.0 * sh * ch
-        m[sl] = 2.0 * rb * np.multiply(inv, su, out=inv).sum(axis=1)
-        Ssin_D2 = np.multiply(T, su, out=T).sum(axis=1)
-        # dr/dtheta = -f_theta/f_r = r f_theta/f_x
-        drdth = -2.0 * rb * rb * g * Ssin_D2 / f_x
-        # dm/dtheta = 2 (1 - r^2) Ssin_D2 dr/dtheta + 2 r sum_j w_j
-        # ((1 + r^2) cos u_j - 2r)/D_j^2, and (1 + r^2) cos u - 2r = c^2 - (1 + r^2) q4/2
-        dm = 2.0 * (
-            drdth * c * (1.0 + rb) * Ssin_D2
-            + rb * (c * c * S_D2 - 0.5 * (1.0 + rb * rb) * S_qD2)
+        ht = 0.5 * th[sl, None]
+        su = ht + half  # h, sin h, then sin u = 2 sin h cos h, in place
+        np.sin(su, out=su)
+        q4 = su * su
+        q4 *= 4.0
+        ch = 2.0 * np.cos(ht) * cb
+        ch -= 2.0 * np.sin(ht) * sb
+        su *= ch
+        with np.errstate(divide="ignore"):  # +inf at an atom
+            inv = np.divide(wj, q4, out=ch)
+        inside = inv.sum(axis=1) > target
+        rb, mb, wb, out = r[sl], m[sl], w[sl], ~inside
+        mb[out] = 2.0 * (inv[out] * su[out]).sum(axis=1)
+        del ch, inv  # as in the additive, each table is freed once done with
+        q4 = q4[inside]
+        p0 = np.maximum(0.0, np.max(tw - q4, axis=1))
+        _, (p, x, iota, kappa, S_i, S_k, slope) = solve(
+            0.0, u_hi, np.log1p(0.25 * p0), partial(evaluate, q4=q4)
         )
-        r[sl] = rb
-        w[sl] = np.where(inside, (2.0 / t + dm) / (4.0 * np.pi), 0.0)
+        su = su[inside]
+        a = 1.0 / (4.0 + p)
+        mb[inside] = 2.0 * a * np.multiply(iota, su, out=iota).sum(axis=1)
+        # S_E = sum_j w_j (4 + p) sin u_j/(p + q4_j)^2 = -S_iota (d ln f/dtheta)/2
+        S_E = a * np.multiply(kappa, su, out=kappa).sum(axis=1)
+        du = 2.0 * S_E / (S_i * slope)
+        # dm/dtheta = 2 sum_j w_j (p cos u_j - q4_j)/(p + q4_j)^2 - 2 S_E du/dtheta,
+        # whose sum is (p S_kappa - (2 + p) S_iota)/(4 + p) with cos u = 1 - q4/2
+        dm = a * (p * S_k - (2.0 + p) * S_i) - 2.0 * du * S_E
+        rb[inside] = np.exp(-x)
+        wb[inside] = (2.0 / t + dm) / (4.0 * np.pi)
     return r, th + 0.5 * t * m, w, m
 
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freebrown import _boundary, additive, multiplicative
@@ -117,11 +117,15 @@ def _f_limit_exact(mu_bar, theta):
 
 @settings(max_examples=40, deadline=None)
 @given(atoms(-3.1, 3.1), st.floats(0.05, 3.0) | st.floats(250.0, 1000.0), st.integers(0, 2**32 - 1))
+@example(lw=([0.0], [1.0]), t=745.0, seed=0)
+@example(lw=([0.0], [1.0]), t=1412.0, seed=0)
 def test_r_newton_matches_bisection_reference(lw, t, seed):
     """As for v_t, in x = -log r: r < 1 exactly where f(1-, theta) > 1/t;
     there the fsum residual meets the target and x agrees to 1e-10 with a
-    plain bisection of the residual window. Large t (250 to 1000) puts the
-    root near x = t/2, inside the [0, 700] bisection window."""
+    plain bisection of the residual window over [0, x_hi], x_hi = t/4 +
+    sqrt(t^2/16 + t). Large t (250 to 1000, and the examples up to the
+    largest t the flow takes) puts the root near x = t/2, where
+    w_j/(p + q4_j)^2 underflows past t ~ 700, p = (1 - r)^2/r."""
     mu = SpectralMeasure.circle_atomic(lw[0], _weights(lw[1]))
     mu_bar = reflect_circle_measure(mu)
     prof = multiplicative_profile(mu, t, 181)
@@ -139,8 +143,9 @@ def test_r_newton_matches_bisection_reference(lw, t, seed):
         def excess(x, level):
             return _f_exact(mu_bar, th, math.exp(-x)) - level
 
-        x_lo = _bisect(lambda x: excess(x, target * (1 + rho)), 0.0, 700.0)
-        x_hi = _bisect(lambda x: excess(x, target * (1 - rho)), 0.0, 700.0)
+        top = 0.25 * t + math.sqrt(t * t / 16.0 + t)
+        x_lo = _bisect(lambda x: excess(x, target * (1 + rho)), 0.0, top)
+        x_hi = _bisect(lambda x: excess(x, target * (1 - rho)), 0.0, top)
         x = -math.log(r)
         assert x_lo * (1 - AGREE) <= x <= x_hi * (1 + AGREE)
 
@@ -334,3 +339,70 @@ def test_blocks_hold_a_fixed_number_of_table_entries(monkeypatch, k, calls):
     mu, t = CIRCLE[k]
     r_t_array(reflect_circle_measure(mu), t, np.linspace(-np.pi, np.pi, 1441))
     assert len(seen) == calls
+
+
+# -- Newton evaluations --------------------------------------------------------------
+
+
+def _clustered_circle(seed, clusters=8, atoms=200, half_width=0.08):
+    """Jittered lattices of atoms around ``clusters`` centres away from the
+    cut at +-pi, with Dirichlet(50) weights."""
+    rng = np.random.default_rng(seed)
+    per = atoms // clusters
+    spacing = 2.0 * half_width / per
+    locs = [
+        c - half_width + spacing * (np.arange(per) + 0.5 + rng.uniform(-0.3, 0.3, per))
+        for c in -np.pi + 2.0 * np.pi * (np.arange(clusters) + 0.5) / clusters
+    ]
+    return SpectralMeasure.circle_atomic(np.concatenate(locs), rng.dirichlet(np.full(atoms, 50.0)))
+
+
+def _counting(monkeypatch, flow):
+    """Count the evaluations of each ``flow.solve`` call and every call of
+    ``flow._tables``; returns (evaluations per solve, table passes)."""
+    per_solve, passes = [], [0]
+    tables = flow._tables
+
+    def counting_tables(*args):
+        passes[0] += 1
+        return tables(*args)
+
+    def counting_solve(lo, hi, x, evaluate):
+        per_solve.append(0)
+
+        def counted(y):
+            per_solve[-1] += 1
+            return evaluate(y)
+
+        return _boundary.solve(lo, hi, x, counted)
+
+    monkeypatch.setattr(flow, "_tables", counting_tables)
+    monkeypatch.setattr(flow, "solve", counting_solve)
+    return per_solve, passes
+
+
+def test_r_newton_evaluations(monkeypatch):
+    """Newton in u = log(1 + p/4) from u_0 = log(1 + p_0/4) on a clustered
+    200-atom measure at t = 0.25: every block of a 1441-angle grid, and every
+    node set of the mass quadrature (which crowd the arc ends, where f is
+    flat in x = -log r), converges within 6 evaluations. Newton in x from
+    the Haar root t/2 took up to 10 on the grid and 21 on the nodes. The
+    rows read the last evaluation's tables: no table pass follows the solve."""
+    mu = _clustered_circle(1)
+    prof = multiplicative_profile(mu, 0.25, 1440)
+    per_solve, passes = _counting(monkeypatch, multiplicative)
+    r_t_array(prof.measure_bar, 0.25, np.linspace(-np.pi, np.pi, 1441))
+    assert len(per_solve) == 12 and max(per_solve) <= 6
+    assert passes[0] == sum(per_solve)
+    del per_solve[:]
+    passes[0] = 0
+    assert abs(multiplicative.total_mass(prof) - 1.0) <= 1e-9
+    assert max(per_solve) <= 6 and passes[0] == sum(per_solve)
+
+
+def test_additive_rows_read_the_last_evaluation(monkeypatch):
+    """On the line too, the rows take no table pass after the solve."""
+    mu, t = LINE[200]
+    per_solve, passes = _counting(monkeypatch, additive)
+    v_t_array(mu, t, np.linspace(-4.0, 4.0, 801))
+    assert len(per_solve) == 7 and passes[0] == sum(per_solve)

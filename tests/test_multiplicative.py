@@ -62,8 +62,9 @@ def test_f_direct_arithmetic():
 
 
 def test_f_small_r_limit():
-    # decay toward the stated limit 0 is logarithmic: f ~ 1/(-2 log r)
-    seq = [f_value(D0C, r, 0.0) for r in (1e-3, 1e-9, 1e-100, 1e-300)]
+    # decay toward the stated limit 0 is logarithmic: f ~ 1/(-2 log r), also
+    # below the smallest normal r, where (1 - r)^2/r overflows
+    seq = [f_value(D0C, r, 0.0) for r in (1e-3, 1e-9, 1e-100, 1e-300, 1e-310, 5e-324)]
     assert all(a > b for a, b in zip(seq, seq[1:]))
     assert seq[-1] < 1e-3
 

@@ -1,21 +1,24 @@
-"""What is built on the boundary roots -- w_t, psi_t and phi -- against the
-40-digit reference in ``_oracle.py``, at points 1e-3 to 1e-11 inside every
-support end and at random points of the support.
+"""The boundary roots v_t and r_t, and what is built on them -- w_t, psi_t
+and phi -- against the 40-digit reference in ``_oracle.py``, at points 1e-3
+to 1e-11 inside every support end and at random points of the support.
 
 Bounds:
-* psi_t and phi: the residual window carried through the map. The float
-  root only meets |S - 1/t| <= RESIDUAL/t (f for the circle), so it may
-  sit RESIDUAL/(t |dS/ds|) from the exact root, and the map moves by its
-  own slope times that: RESIDUAL |A|/B for psi_t, RESIDUAL |m_x|/(2 |f_x|)
+* v_t^2 and -log r_t: the residual window carried through the defining
+  sum. The float root only meets |S - 1/t| <= RESIDUAL/t (f for the
+  circle), so it may sit RHO/(t |dS/ds|) from the exact root, with the
+  slope of the reference at its root. SLACK, relative to the root, covers
+  the rounding of the float sums; on the circle r = e^{-x} also rounds, by
+  at most 2^-53 relative, which moves -log r by as much.
+* psi_t and phi: the same window carried through the map, which moves by
+  its own slope times it: RESIDUAL |A|/B for psi_t, RESIDUAL |m_x|/(2 |f_x|)
   for phi, slopes of the reference at its root. SLACK, relative to the
   size of the map's terms, covers the rounding of the float sums.
-* w_t: a share of max|w|. On the circle the rows divide by f_x, which
-  vanishes at an arc end (f is even in x), so a relative error in the
-  slope of g reaches w amplified by about 1/x. The share admits a slope
-  error of RESIDUAL at x >= 1e-4 (amplified to 1e4 RESIDUAL), and refuses
-  the direct slope (r^2 - g)/x, whose error 1e-16/x is amplified to
-  1e-16/x^2 at the probes' x ~ 1e-6. On the line the rows divide by B,
-  which stays positive at the ends, so w keeps to a few times RESIDUAL.
+* w_t: a share of max|w|. On the circle the rows divide by the slope
+  d ln f/du, whose first term 2/p - coth(x/2)/x cancels from about 2/x^2
+  to -1/3 as x -> 0. The share admits a slope error of 1e4 RESIDUAL, and
+  refuses that direct form, whose error 1e-16/x^2 reaches 1e-4 at the
+  probes' x ~ 1e-6. On the line the rows divide by B, which stays
+  positive at the ends, so w keeps to a few times RESIDUAL.
 """
 
 import math
@@ -66,26 +69,28 @@ def _probes(intervals, skip, offsets, n_random, rng):
 
 
 def check_line(mu, t, offsets=OFFSETS, n_random=4, limit=None):
-    """The worst error over the probes, as a share of its bound, for w_t
-    and psi_t."""
+    """The worst error over the probes, as a share of its bound, for
+    s = v_t^2, w_t and psi_t."""
     half = float(np.max(np.abs(mu.locations))) + 2.0 * math.sqrt(t)
     prof = additive.additive_profile(mu, t, np.linspace(-half, half, 801))
     rng = np.random.default_rng(0)
     pts = _probes(prof.support_intervals, (-half, half), offsets, n_random, rng)[:limit]
     v, w, psi = additive._rows(mu, t, pts)
     w_bound = W_SHARE["line"] * float(np.max(prof.w))
-    ref, worst = Additive(mu, t), {"w": 0.0, "psi": 0.0}
+    ref, worst = Additive(mu, t), {"s": 0.0, "w": 0.0, "psi": 0.0}
     with mp.workdps(DPS):
         for a, v_f, w_f, psi_f in zip(pts, v, w, psi):
             tab = ref.table(a)
             s = ref.s(tab)
             assert s > 0 and v_f > 0
-            # psi moves by -t A ds where S moves by -B ds: RHO |A|/B
+            # S moves by -B ds: s within RHO/(t B); psi moves by -t A ds: RHO |A|/B
             D2 = [(d2 + s) ** 2 for _, _, _, d2 in tab]
             A = mp.fsum(w * d / q for (w, _, d, _), q in zip(tab, D2))
             B = mp.fsum(w / q for (w, _, _, _), q in zip(tab, D2))
+            s_bound = RHO / (ref.t * B) + SLACK * s
             terms = abs(a) + ref.t * mp.fsum(w * abs(d) / (d2 + s) for w, _, d, d2 in tab)
             psi_bound = RHO * abs(A) / B + SLACK * terms
+            worst["s"] = max(worst["s"], float(abs(mp.mpf(v_f) ** 2 - s) / s_bound))
             worst["w"] = max(worst["w"], abs(float(ref.density(a)) - w_f) / w_bound)
             worst["psi"] = max(worst["psi"], float(abs(ref.psi(a) - psi_f) / psi_bound))
     return worst
@@ -127,25 +132,28 @@ def test_line_random_measures(lw, t):
 
 
 def check_circle(mu, t, offsets=OFFSETS, n_random=4, limit=None):
-    """The worst error over the probes, as a share of its bound, for w_t
-    and phi."""
+    """The worst error over the probes, as a share of its bound, for
+    x = -log r_t, w_t and phi."""
     mu_bar = reflect_circle_measure(mu)
     prof = multiplicative.multiplicative_profile(mu, t, 1440)
     rng = np.random.default_rng(0)
     pts = _probes(prof.u_components, (-np.pi, np.pi), offsets, n_random, rng)[:limit]
     r, phi, w, _ = multiplicative._rows(mu_bar, t, pts)
     w_bound = W_SHARE["circle"] * float(np.max(prof.w))
-    ref, worst = Multiplicative(mu_bar, t), {"w": 0.0, "phi": 0.0}
+    ref, worst = Multiplicative(mu_bar, t), {"x": 0.0, "w": 0.0, "phi": 0.0}
     with mp.workdps(DPS):
         for th, r_f, phi_f, w_f in zip(pts, r, phi, w):
             tab = ref.table(th)
             x = ref.x(tab)
             assert x > 0 and r_f < 1
-            # phi moves by (t/2) m_x dx where f moves by f_x dx: RHO |m_x|/(2|f_x|)
+            # f moves by f_x dx: x within RHO/(t |f_x|); phi moves by
+            # (t/2) m_x dx: RHO |m_x|/(2|f_x|)
             m_x = mp.diff(lambda y: ref.m_at(tab, y), x)
             f_x = mp.diff(lambda y: ref.f(tab, y), x)
+            x_bound = RHO / (ref.t * abs(f_x)) + SLACK * x + mp.mpf(2) ** -53
             terms = abs(th) + ref.t * abs(ref.m_at(tab, x))
             phi_bound = RHO * abs(m_x / f_x) / 2 + SLACK * terms
+            worst["x"] = max(worst["x"], float(abs(-mp.log(mp.mpf(r_f)) - x) / x_bound))
             worst["w"] = max(worst["w"], abs(float(ref.density(th)) - w_f) / w_bound)
             worst["phi"] = max(worst["phi"], float(abs(ref.phi(th) - phi_f) / phi_bound))
     return worst
@@ -172,15 +180,15 @@ def test_circle_random_measures(lw, t):
     assert max(worst.values()) <= 1.0, worst
 
 
-def test_g_slope_against_mp_diff():
-    """dg/dx of g = (1 - e^{-2x})/(2x), within 5e-14 relative of 40-digit
-    mp.diff for x log-spaced over [1e-15, 700]: the direct form
-    (r^2 - g)/x keeps about 2e-16/x above the series cutoff 1e-2, and is
-    1e-4 off at x = 1e-12 below it."""
-    x = np.logspace(-15, math.log10(700.0), 121)
-    r = np.exp(-x)
-    got = multiplicative._g_slope(x, r, -np.expm1(-x) * (1.0 + r) / (2.0 * x))
+def test_log_g_slope_against_mp_diff():
+    """d ln g/du of g = tanh(x/2)/(2x), u = 2 log cosh(x/2), within 5e-14
+    relative of 40-digit mp.diff for x log-spaced over [1e-15, 708]: the
+    direct form 2/p - 1/(x tanh(x/2)) keeps about 1.2e-15/x^2 above the series
+    cutoff 0.1, and is 6% off at x = 1e-7 below it."""
+    x = np.logspace(-15, math.log10(708.0), 121)
+    got = multiplicative._log_g_slope(x, 4.0 * np.sinh(0.5 * x) ** 2, np.tanh(0.5 * x))
     with mp.workdps(DPS):
         for xi, gi in zip(x, got):
-            want = mp.diff(lambda y: -mp.expm1(-2 * y) / (2 * y), mp.mpf(xi))
+            y = mp.mpf(xi)
+            want = mp.diff(lambda z: mp.log(mp.tanh(z / 2) / (2 * z)), y) / mp.tanh(y / 2)
             assert abs((gi - want) / want) <= 5e-14, xi
