@@ -125,12 +125,12 @@ def _rows(mu, t, a, what="v_t"):
 
 def v_t_array(mu: SpectralMeasure, t: float, a) -> np.ndarray:
     """v_t at every point of ``a`` (0 outside the strip)."""
-    return _rows(mu, t, a)[0]
+    return _rows(mu, t, a, "v_t_array")[0]
 
 
 def v_t(mu: SpectralMeasure, t: float, a: float) -> float:
     """Support height at a single point (0 outside the strip)."""
-    return float(v_t_array(mu, t, np.array([a]))[0])
+    return float(_rows(mu, t, [a], "v_t")[0][0])
 
 
 def subordination_H(mu: SpectralMeasure, t: float, z: complex) -> complex:
@@ -140,27 +140,27 @@ def subordination_H(mu: SpectralMeasure, t: float, z: complex) -> complex:
 
 
 def psi_t_array(mu, t, a):
-    return _rows(mu, t, a, "psi_t")[2]
+    return _rows(mu, t, a, "psi_t_array")[2]
 
 
 def psi_t(mu: SpectralMeasure, t: float, a: float) -> float:
     """psi_t(a) = a + t sum_j w_j (a-x_j)/((a-x_j)^2 + v_t(a)^2)."""
-    return float(psi_t_array(mu, t, np.array([a]))[0])
+    return float(_rows(mu, t, [a], "psi_t")[2][0])
 
 
 def density_w_array(mu, t, a):
-    return _rows(mu, t, a, "density_w")[1]
+    return _rows(mu, t, a, "density_w_array")[1]
 
 
 def density_w(mu: SpectralMeasure, t: float, a: float) -> float:
     """Planar Brown density at real coordinate a (0 outside the strip)."""
-    return float(density_w_array(mu, t, np.array([a]))[0])
+    return float(_rows(mu, t, [a], "density_w")[1][0])
 
 
 def additive_law_density(mu: SpectralMeasure, t: float, a: float):
     """Point (psi_t(a), v_t(a)/(pi t)) on the graph of the law of the
     semicircular flow; only defined where v_t(a) > 0."""
-    v, _, psi = (float(z[0]) for z in _rows(mu, t, [a]))
+    v, _, psi = (float(z[0]) for z in _rows(mu, t, [a], "additive_law_density"))
     if v <= 0.0:
         raise OutsideSupport(f"v_t({a}) = 0: no push-forward density there")
     return psi, v / (np.pi * t)
@@ -212,10 +212,11 @@ def _components(mu, t):
         inv = wj / d**3
         return inv.sum(axis=1), -3.0 * (inv / d).sum(axis=1)
 
-    k, m = outside_gaps(partial(_sum_inv_sq, mu), level, slope, x[:-1], x[1:], wj[:-1], wj[1:])
+    indicator = partial(_sum_inv_sq, mu)
+    k, m = outside_gaps(indicator, level, slope, x[:-1], x[1:], wj[:-1], wj[1:])
     r, n = 2.0 * np.sqrt(t), len(k)
     ends = refine_endpoints(
-        lambda a: _sum_inv_sq(mu, a) > level,
+        indicator, lambda a: -2.0 * slope(a)[0], level,
         np.concatenate((x[k], x[k + 1], x[[0, -1]])),
         np.concatenate((m, m, [x[0] - r, x[-1] + r])),
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -153,6 +154,13 @@ class SpectralMeasure:
         if self.kind not in (CIRCLE_ATOMIC, HAAR):
             raise WrongSupport(f"{what} needs a circle measure, got {self.kind}")
 
+    @cached_property
+    def _reflection(self):
+        """The adjoint's measure, built once: the scalar u b_t rows take it per call."""
+        if self.is_haar:
+            return self
+        return SpectralMeasure.circle_atomic(wrap_angle(-self.locations), self.weights)
+
     @property
     def unit_atoms(self):
         """Atoms as points exp(i theta_j) on the unit circle."""
@@ -198,9 +206,7 @@ def eta_transform(mu: SpectralMeasure, z: complex) -> complex:
 def reflect_circle_measure(mu: SpectralMeasure) -> SpectralMeasure:
     """Distribution of the adjoint: atom angles negated, Haar fixed."""
     mu.require_circle("reflect_circle_measure")
-    if mu.is_haar:
-        return mu
-    return SpectralMeasure.circle_atomic(wrap_angle(-mu.locations), mu.weights)
+    return mu._reflection
 
 
 # -- file format -------------------------------------------------------------

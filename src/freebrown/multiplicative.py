@@ -45,6 +45,7 @@ refused: there e^{-x} underflows for some root x = -log r_t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -86,10 +87,13 @@ def _log_g_slope(x, p, tau):
     p = 4 sinh^2(x/2), tau = tanh(x/2). The two terms cancel from 2/x^2 to
     about -1/3, so below x = 0.1 (where that costs 1e-13 relative) it is the
     series in x^2, whose first omitted term is under 2e-18 there."""
+    small = x < 0.1
+    if not small.any():
+        return 2.0 / p - 1.0 / (x * tau)
     y = x * x
     series = -1 / 3 + y * (1 / 90 + y * (-1 / 2520 + y * (1 / 75600 - y / 2395008)))
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 takes the series
-        return np.where(x < 0.1, series, 2.0 / p - 1.0 / (x * tau))
+        return np.where(small, series, 2.0 / p - 1.0 / (x * tau))
 
 
 def _tables(p, x, q4, wj):
@@ -105,7 +109,10 @@ def _tables(p, x, q4, wj):
     kappa = np.divide(iota, R, out=R)
     S_i, S_k = iota.sum(axis=1), kappa.sum(axis=1)
     tau = np.tanh(0.5 * x)
-    g = np.divide(tau, 2.0 * x, out=np.full_like(x, 0.25), where=x > 0.0)
+    if (x > 0.0).all():
+        g = tau / (2.0 * x)
+    else:  # g(0) = 1/4
+        g = np.divide(tau, 2.0 * x, out=np.full_like(x, 0.25), where=x > 0.0)
     return iota, kappa, S_i, S_k, g * S_i, _log_g_slope(x, p, tau) + 1.0 - S_k / S_i
 
 
@@ -159,11 +166,11 @@ def T_of_lambda(mu_bar: SpectralMeasure, lam: complex) -> float:
 
 def r_t_array(mu_bar: SpectralMeasure, t: float, thetas) -> np.ndarray:
     """Boundary radius r_t at each angle (1 outside U_t)."""
-    return _rows(mu_bar, t, thetas)[0]
+    return _rows(mu_bar, t, thetas, "r_t_array")[0]
 
 
 def r_t(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
-    return float(r_t_array(mu_bar, t, np.array([theta]))[0])
+    return float(_rows(mu_bar, t, [theta], "r_t")[0][0])
 
 
 def phi_map(mu_bar: SpectralMeasure, t: float, z: complex) -> complex:
@@ -183,7 +190,7 @@ def phi_map(mu_bar: SpectralMeasure, t: float, z: complex) -> complex:
     return z * complex(np.exp(expo))
 
 
-def _rows(mu_bar, t, thetas):
+def _rows(mu_bar, t, thetas, what="r_t"):
     """(r, phi, w, m) at every angle, one ``blocks`` slice at a time.
 
     Each block builds sin h_j, h_j = u_j/2, and q4_j = 4 sin^2 h_j once, for
@@ -205,7 +212,7 @@ def _rows(mu_bar, t, thetas):
     Outside U_t (x = 0, r = 1) phi and m are the unit-circle continuations,
     from the support test's table w_j/q4_j, and w = 0.
     """
-    mu_bar.require_circle("r_t")
+    mu_bar.require_circle(what)
     _check_time(t)
     th = finite_points(thetas, "theta")
     if mu_bar.is_haar:
@@ -214,7 +221,7 @@ def _rows(mu_bar, t, thetas):
         return r, th.copy(), w, np.zeros_like(th)
     target, half = 1.0 / t, 0.5 * mu_bar.locations
     wj, tw, cb, sb = mu_bar.weights[None, :], t * mu_bar.weights, np.cos(half), np.sin(half)
-    u_hi = np.log1p(np.sinh(0.125 * t + 0.5 * np.sqrt(t * t / 16.0 + t)) ** 2)
+    u_hi = math.log1p(math.sinh(0.125 * t + 0.5 * math.sqrt(t * t / 16.0 + t)) ** 2)
 
     def evaluate(u, q4):
         e = np.expm1(u)
@@ -267,12 +274,12 @@ def _arg_density(r, w):
 def phi_of_theta_array(mu_bar: SpectralMeasure, t: float, thetas) -> np.ndarray:
     """Vectorized boundary angle map, extended by the unit-circle
     continuation (r_t = 1) outside U_t."""
-    return _rows(mu_bar, t, thetas)[1]
+    return _rows(mu_bar, t, thetas, "phi_of_theta_array")[1]
 
 
-def _row_at(mu_bar, t, theta):
-    """(r, phi, w, m) at one angle of U_t."""
-    r, phi, w, m = (float(z[0]) for z in _rows(mu_bar, t, [float(theta)]))
+def _row_at(mu_bar, t, theta, what):
+    """(r, phi, w, m) at one angle of U_t; ``what`` names the caller."""
+    r, phi, w, m = (float(z[0]) for z in _rows(mu_bar, t, [float(theta)], what))
     if r >= 1.0:
         raise OutsideU(f"theta={theta} not in U_t")
     return r, phi, w, m
@@ -280,17 +287,17 @@ def _row_at(mu_bar, t, theta):
 
 def m_t(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
     """m_t(theta) = 2 sum_j w_j r sin u_j / D_j at r = r_t(theta)."""
-    return _row_at(mu_bar, t, theta)[3]
+    return _row_at(mu_bar, t, theta, "m_t")[3]
 
 
 def phi_of_theta(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
     """Continuous boundary angle phi(theta) = theta + (t/2) m_t(theta)."""
-    return _row_at(mu_bar, t, theta)[1]
+    return _row_at(mu_bar, t, theta, "phi_of_theta")[1]
 
 
 def density_w_theta(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
     """Angular density w_t(theta) = (1/4pi)(2/t + dm_t/dtheta)."""
-    return _row_at(mu_bar, t, theta)[2]
+    return _row_at(mu_bar, t, theta, "density_w_theta")[2]
 
 
 # -- profiles ----------------------------------------------------------------
@@ -343,7 +350,7 @@ def _u_components(mu, mu_bar, t):
     sum_j w_j cos(h_j)/sin(h_j)^3, h_j = (theta - alpha_j)/2. The last gap
     runs from alpha_K to alpha_1 + 2 pi; the one bracket of its ends that
     crosses the cut is cut at pi, on the side where the sign changes, so
-    every end is bisected in (-pi, pi]."""
+    every end is refined in (-pi, pi]."""
     if mu.is_haar:
         return ((-np.pi, np.pi),)
     alpha, level = mu.locations, 1.0 / t
@@ -366,7 +373,8 @@ def _u_components(mu, mu_bar, t):
     cross = (brackets.min(axis=0) < np.pi) & (brackets.max(axis=0) > np.pi)
     brackets[0 if indicator(np.array([np.pi]))[0] > level else 1, cross] = np.pi
     brackets[:, brackets.max(axis=0) > np.pi] -= 2.0 * np.pi
-    ends, n, arcs = refine_endpoints(lambda th: indicator(th) > level, *brackets), len(k), []
+    ends = refine_endpoints(indicator, lambda th: -0.25 * slope(th)[0], level, *brackets)
+    n, arcs = len(k), []
     # the arc before kept gap i starts where the outside arc of gap i-1 ends
     for lo, hi in zip(np.roll(ends[n:], 1).tolist(), ends[:n].tolist()):
         arcs += [(lo, hi)] if lo < hi else [(lo, np.pi), (-np.pi, hi)]
@@ -377,7 +385,7 @@ def mult_law_density(mu: SpectralMeasure, t: float, theta: float):
     """Point (phi(theta), -log r_t(theta)/(pi t)) on the law of the unitary
     flow; defined for theta in U_t."""
     mu.require_circle("mult_law_density")
-    r, phi, _, _ = _row_at(reflect_circle_measure(mu), t, theta)
+    r, phi, _, _ = _row_at(reflect_circle_measure(mu), t, theta, "mult_law_density")
     return phi, float(-np.log(r) / (np.pi * t))
 
 

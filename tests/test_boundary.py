@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from freebrown import _boundary, additive, multiplicative
 from freebrown.additive import additive_profile, v_t_array
 from freebrown.cli import parse_grid
-from freebrown.errors import NumericalError, ValidationError
+from freebrown.errors import NumericalError, ValidationError, WrongSupport
 from freebrown.measures import SpectralMeasure, reflect_circle_measure
 from freebrown.multiplicative import multiplicative_profile, r_t_array
 
@@ -170,19 +170,28 @@ def _points(f, bad):
     return np.array([0.0, bad]) if f.__name__.endswith("_array") else bad
 
 
+ADDITIVE_ROWS = [
+    additive.v_t,
+    additive.v_t_array,
+    additive.psi_t,
+    additive.psi_t_array,
+    additive.density_w,
+    additive.density_w_array,
+    additive.additive_law_density,
+]
+MULTIPLICATIVE_ROWS = [
+    multiplicative.r_t,
+    multiplicative.r_t_array,
+    multiplicative.phi_of_theta,
+    multiplicative.phi_of_theta_array,
+    multiplicative.m_t,
+    multiplicative.density_w_theta,
+    multiplicative.mult_law_density,
+]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize(
-    "f",
-    [
-        additive.v_t,
-        additive.v_t_array,
-        additive.psi_t,
-        additive.psi_t_array,
-        additive.density_w,
-        additive.density_w_array,
-        additive.additive_law_density,
-    ],
-)
+@pytest.mark.parametrize("f", ADDITIVE_ROWS)
 def test_additive_rejects_non_finite_points(f, bad):
     """A NaN point must not read as outside the strip (v = 0)."""
     with pytest.raises(ValidationError, match="finite"):
@@ -191,18 +200,7 @@ def test_additive_rejects_non_finite_points(f, bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("mu", [ASYM, SpectralMeasure.haar()], ids=["asym", "haar"])
-@pytest.mark.parametrize(
-    "f",
-    [
-        multiplicative.r_t,
-        multiplicative.r_t_array,
-        multiplicative.phi_of_theta,
-        multiplicative.phi_of_theta_array,
-        multiplicative.m_t,
-        multiplicative.density_w_theta,
-        multiplicative.mult_law_density,
-    ],
-)
+@pytest.mark.parametrize("f", MULTIPLICATIVE_ROWS)
 def test_multiplicative_rejects_non_finite_angles(f, mu, bad):
     """A NaN angle must not read as outside U_t (r = 1). ``mult_law_density``
     takes the measure itself, the others its reflection."""
@@ -210,6 +208,15 @@ def test_multiplicative_rejects_non_finite_angles(f, mu, bad):
         mu = reflect_circle_measure(mu)
     with pytest.raises(ValidationError, match="finite"):
         f(mu, 0.8, _points(f, bad))
+
+
+@pytest.mark.parametrize("f", ADDITIVE_ROWS + MULTIPLICATIVE_ROWS, ids=lambda f: f.__name__)
+def test_wrong_support_names_the_function_called(f):
+    """A measure on the wrong space is refused in the name of the public
+    function called, not of the row pass or array function behind it."""
+    mu = ASYM if f in ADDITIVE_ROWS else TWO
+    with pytest.raises(WrongSupport, match=rf"^{f.__name__} needs a "):
+        f(mu, 0.8, _points(f, 0.5))
 
 
 # -- exact support components ------------------------------------------------------
@@ -286,6 +293,33 @@ def test_multiplicative_components_from_atoms(lw, t):
     assert multiplicative_profile(mu, t, 64).u_components == arcs
 
 
+def _first_outside(intervals, predicate, skip=()):
+    """Each end e off ``skip`` is the first float outside next to a sign
+    change of the engine's float ``predicate``: false at e, true at the
+    next float inward."""
+    ends = [(e, inward) for lo, hi in intervals for e, inward in ((lo, hi), (hi, lo))]
+    ends = np.array([(e, np.nextafter(e, inward)) for e, inward in ends if e not in skip])
+    if len(ends):
+        assert not predicate(ends[:, 0]).any()
+        assert predicate(ends[:, 1]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(atoms(-3, 3, 6), atoms(-3.1, 3.1, 6), st.floats(0.02, 3.0))
+def test_ends_are_the_first_float_outside(line, circle, t):
+    """Newton brings each end within a few ulps; the probes and bisection
+    after it must still end on the first float outside, exactly."""
+    level = 1.0 / t
+    mu = SpectralMeasure.real_atomic(line[0], _weights(line[1]))
+    intervals = np.transpose(additive._components(mu, t))
+    _first_outside(intervals, lambda a: additive._sum_inv_sq(mu, a) > level)
+    mu = SpectralMeasure.circle_atomic(circle[0], _weights(circle[1]))
+    mu_bar = reflect_circle_measure(mu)
+    arcs = multiplicative._u_components(mu, mu_bar, t)
+    in_u = lambda th: multiplicative.f_limit_at_circle(mu_bar, th) > level  # noqa: E731
+    _first_outside(arcs, in_u, (-np.pi, np.pi))
+
+
 # -- blocks ------------------------------------------------------------------------
 
 LINE = {
@@ -344,17 +378,19 @@ def test_blocks_hold_a_fixed_number_of_table_entries(monkeypatch, k, calls):
 # -- Newton evaluations --------------------------------------------------------------
 
 
-def _clustered_circle(seed, clusters=8, atoms=200, half_width=0.08):
-    """Jittered lattices of atoms around ``clusters`` centres away from the
-    cut at +-pi, with Dirichlet(50) weights."""
+def _clustered(seed, kind="circle-atomic", lo=-np.pi, hi=np.pi, clusters=8, atoms=200):
+    """Jittered lattices of atoms, 0.08 either side of ``clusters`` centres
+    spread evenly over (lo, hi) (on the circle away from the cut at +-pi),
+    with Dirichlet(50) weights."""
+    half_width = 0.08
     rng = np.random.default_rng(seed)
     per = atoms // clusters
     spacing = 2.0 * half_width / per
     locs = [
         c - half_width + spacing * (np.arange(per) + 0.5 + rng.uniform(-0.3, 0.3, per))
-        for c in -np.pi + 2.0 * np.pi * (np.arange(clusters) + 0.5) / clusters
+        for c in lo + (hi - lo) * (np.arange(clusters) + 0.5) / clusters
     ]
-    return SpectralMeasure.circle_atomic(np.concatenate(locs), rng.dirichlet(np.full(atoms, 50.0)))
+    return SpectralMeasure(kind, np.concatenate(locs), rng.dirichlet(np.full(atoms, 50.0)))
 
 
 def _counting(monkeypatch, flow):
@@ -388,7 +424,7 @@ def test_r_newton_evaluations(monkeypatch):
     flat in x = -log r), converges within 6 evaluations. Newton in x from
     the Haar root t/2 took up to 10 on the grid and 21 on the nodes. The
     rows read the last evaluation's tables: no table pass follows the solve."""
-    mu = _clustered_circle(1)
+    mu = _clustered(1)
     prof = multiplicative_profile(mu, 0.25, 1440)
     per_solve, passes = _counting(monkeypatch, multiplicative)
     r_t_array(prof.measure_bar, 0.25, np.linspace(-np.pi, np.pi, 1441))
@@ -406,3 +442,28 @@ def test_additive_rows_read_the_last_evaluation(monkeypatch):
     per_solve, passes = _counting(monkeypatch, additive)
     v_t_array(mu, t, np.linspace(-4.0, 4.0, 801))
     assert len(per_solve) == 7 and passes[0] == sum(per_solve)
+
+
+@pytest.mark.parametrize(
+    "flow, indicator, t",
+    [(additive, "_sum_inv_sq", 0.1), (multiplicative, "f_limit_at_circle", 0.25)],
+    ids=["line", "circle"],
+)
+def test_components_take_few_indicator_calls(monkeypatch, flow, indicator, t):
+    """One support components call on a clustered 200-atom measure (8
+    clusters on [-3, 3] or around the circle) evaluates the indicator at
+    most 20 times: 12 and 11 here, where bisection alone took 54 and 55."""
+    calls, orig = [0], getattr(flow, indicator)
+
+    def counting(*args):
+        calls[0] += 1
+        return orig(*args)
+
+    monkeypatch.setattr(flow, indicator, counting)
+    if flow is additive:
+        mu = _clustered(1, "real-atomic", -3.0, 3.0)
+        assert len(np.transpose(additive._components(mu, t))) == 8
+    else:
+        mu = _clustered(1)
+        assert len(multiplicative._u_components(mu, reflect_circle_measure(mu), t)) == 8
+    assert calls[0] <= 20

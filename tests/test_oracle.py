@@ -13,6 +13,11 @@ Bounds:
   its own slope times it: RESIDUAL |A|/B for psi_t, RESIDUAL |m_x|/(2 |f_x|)
   for phi, slopes of the reference at its root. SLACK, relative to the
   size of the map's terms, covers the rounding of the float sums.
+* The scalar law rows and m_t, one call per point: ``additive_law_density``
+  within the psi_t bound and v/(pi t) within the v_t^2 window over
+  2 v pi t; ``mult_law_density`` within the phi bound and -log r/(pi t)
+  within the -log r_t window over pi t; m_t within RESIDUAL |m_x|/(t |f_x|),
+  with SLACK relative to the size of its terms.
 * w_t: a share of max|w|. On the circle the rows divide by the slope
   d ln f/du, whose first term 2/p - coth(x/2)/x cancels from about 2/x^2
   to -1/3 as x -> 0. The share admits a slope error of 1e4 RESIDUAL, and
@@ -76,10 +81,11 @@ def check_line(mu, t, offsets=OFFSETS, n_random=4, limit=None):
     rng = np.random.default_rng(0)
     pts = _probes(prof.support_intervals, (-half, half), offsets, n_random, rng)[:limit]
     v, w, psi = additive._rows(mu, t, pts)
+    law = [additive.additive_law_density(mu, t, a) for a in pts]
     w_bound = W_SHARE["line"] * float(np.max(prof.w))
-    ref, worst = Additive(mu, t), {"s": 0.0, "w": 0.0, "psi": 0.0}
+    ref, worst = Additive(mu, t), {"s": 0.0, "w": 0.0, "psi": 0.0, "law": 0.0}
     with mp.workdps(DPS):
-        for a, v_f, w_f, psi_f in zip(pts, v, w, psi):
+        for a, v_f, w_f, psi_f, (law_psi, law_p) in zip(pts, v, w, psi, law):
             tab = ref.table(a)
             s = ref.s(tab)
             assert s > 0 and v_f > 0
@@ -92,7 +98,16 @@ def check_line(mu, t, offsets=OFFSETS, n_random=4, limit=None):
             psi_bound = RHO * abs(A) / B + SLACK * terms
             worst["s"] = max(worst["s"], float(abs(mp.mpf(v_f) ** 2 - s) / s_bound))
             worst["w"] = max(worst["w"], abs(float(ref.density(a)) - w_f) / w_bound)
-            worst["psi"] = max(worst["psi"], float(abs(ref.psi(a) - psi_f) / psi_bound))
+            psi_ref = ref.psi(a)
+            worst["psi"] = max(worst["psi"], float(abs(psi_ref - psi_f) / psi_bound))
+            # the law's density v/(pi t) moves by ds/(2 v pi t)
+            v_ref = mp.sqrt(s)
+            p_bound = (s_bound / (2 * v_ref) + SLACK * v_ref) / (mp.pi * ref.t)
+            worst["law"] = max(
+                worst["law"],
+                float(abs(psi_ref - law_psi) / psi_bound),
+                float(abs(v_ref / (mp.pi * ref.t) - law_p) / p_bound),
+            )
     return worst
 
 
@@ -139,10 +154,13 @@ def check_circle(mu, t, offsets=OFFSETS, n_random=4, limit=None):
     rng = np.random.default_rng(0)
     pts = _probes(prof.u_components, (-np.pi, np.pi), offsets, n_random, rng)[:limit]
     r, phi, w, _ = multiplicative._rows(mu_bar, t, pts)
+    law = [multiplicative.mult_law_density(mu, t, th) for th in pts]
+    m = [multiplicative.m_t(mu_bar, t, th) for th in pts]
     w_bound = W_SHARE["circle"] * float(np.max(prof.w))
-    ref, worst = Multiplicative(mu_bar, t), {"x": 0.0, "w": 0.0, "phi": 0.0}
+    ref = Multiplicative(mu_bar, t)
+    worst = {"x": 0.0, "w": 0.0, "phi": 0.0, "law": 0.0, "m": 0.0}
     with mp.workdps(DPS):
-        for th, r_f, phi_f, w_f in zip(pts, r, phi, w):
+        for th, r_f, phi_f, w_f, (law_phi, law_p), m_f in zip(pts, r, phi, w, law, m):
             tab = ref.table(th)
             x = ref.x(tab)
             assert x > 0 and r_f < 1
@@ -155,7 +173,19 @@ def check_circle(mu, t, offsets=OFFSETS, n_random=4, limit=None):
             phi_bound = RHO * abs(m_x / f_x) / 2 + SLACK * terms
             worst["x"] = max(worst["x"], float(abs(-mp.log(mp.mpf(r_f)) - x) / x_bound))
             worst["w"] = max(worst["w"], abs(float(ref.density(th)) - w_f) / w_bound)
-            worst["phi"] = max(worst["phi"], float(abs(ref.phi(th) - phi_f) / phi_bound))
+            phi_ref = ref.phi(th)
+            worst["phi"] = max(worst["phi"], float(abs(phi_ref - phi_f) / phi_bound))
+            # the law's density x/(pi t) moves with x; m_t by m_x dx, and
+            # rounds within SLACK of the size of its terms
+            worst["law"] = max(
+                worst["law"],
+                float(abs(phi_ref - law_phi) / phi_bound),
+                float(abs(x / (mp.pi * ref.t) - law_p) / (x_bound / (mp.pi * ref.t))),
+            )
+            c, r_x = -mp.expm1(-x), mp.exp(-x)
+            m_terms = 2 * r_x * mp.fsum(wj * abs(su) / (c * c + r_x * q4) for wj, su, q4 in tab)
+            m_bound = RHO * abs(m_x / f_x) / ref.t + SLACK * m_terms
+            worst["m"] = max(worst["m"], float(abs(ref.m_at(tab, x) - m_f) / m_bound))
     return worst
 
 
