@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NonpositiveTime, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 
 #: (points x atoms) entries per block: keeps the work arrays cache-sized,
 #: 128 points per block for 200 atoms and one block for a few-atom grid
@@ -35,7 +35,7 @@ GAP_STEP_REL = 1e-9
 
 def check_time(t):
     if not 0 < t < np.inf:
-        raise NonpositiveTime(f"t must be finite and > 0, got {t}")
+        raise ValidationError(f"t must be finite and > 0, got {t}")
 
 
 def finite_points(points, name):

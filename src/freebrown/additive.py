@@ -47,7 +47,7 @@ from ._boundary import (
     refine_endpoints,
     solve,
 )
-from .errors import OutsideSupport, ValidationError
+from .errors import ValidationError
 from .measures import SpectralMeasure, cauchy_transform
 from .quadrature import integrate_adaptive
 
@@ -162,7 +162,7 @@ def additive_law_density(mu: SpectralMeasure, t: float, a: float):
     semicircular flow; only defined where v_t(a) > 0."""
     v, _, psi = (float(z[0]) for z in _rows(mu, t, [a], "additive_law_density"))
     if v <= 0.0:
-        raise OutsideSupport(f"v_t({a}) = 0: no push-forward density there")
+        raise ValidationError(f"v_t({a}) = 0: no push-forward density there")
     return psi, v / (np.pi * t)
 
 

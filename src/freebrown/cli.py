@@ -124,7 +124,7 @@ def _run_additive(config: RunConfig):
             config.out, ["a", "v", "w", "psi"], [profile.grid, profile.v, profile.w, profile.psi]
         )
         _write_json(f"{config.out}.intervals.json", additive.support_sidecar(profile))
-        max_w = float(np.max(profile.w)) if len(profile.w) else 0.0
+        max_w = float(np.max(profile.w))
         bound = 2.0 / (np.pi * config.t)
         print(
             f"additive-density: mass={mass:.9f} (target 1+-{MASS_TOL:g}) "
@@ -154,7 +154,7 @@ def _run_mult(config: RunConfig):
             [profile.thetas, profile.r, profile.phi, profile.w, profile.arg_density],
         )
         _write_json(f"{config.out}.arcs.json", multiplicative.arcs_sidecar(profile))
-        max_w = float(np.max(profile.w)) if len(profile.w) else 0.0
+        max_w = float(np.max(profile.w))
         bound = 1.0 / (np.pi * config.t)
         print(
             f"mult-density: mass={mass:.9f} (target 1+-{MASS_TOL:g}) "

@@ -23,12 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    InvalidMeasure,
-    PoleAtAtom,
-    WrongSupport,
-)
+from .errors import NumericalError, ValidationError
 
 REAL_ATOMIC = "real-atomic"
 CIRCLE_ATOMIC = "circle-atomic"
@@ -40,7 +35,7 @@ DEDUP_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
 #: file loader renormalizes weight sums within this window, rejects beyond
 FILE_WEIGHT_TOL = 1e-6
-#: evaluation this close to a pole raises PoleAtAtom
+#: evaluation this close to a pole raises ValidationError
 POLE_TOL = 1e-14
 
 
@@ -90,22 +85,22 @@ class SpectralMeasure:
 
     def __post_init__(self):
         if self.kind not in (REAL_ATOMIC, CIRCLE_ATOMIC, HAAR):
-            raise InvalidMeasure(f"unknown measure kind {self.kind!r}")
+            raise ValidationError(f"unknown measure kind {self.kind!r}")
         locs = np.asarray(self.locations, dtype=float)
         ws = np.asarray(self.weights, dtype=float)
         if self.kind == HAAR:
             if locs.size or ws.size:
-                raise InvalidMeasure("haar kind carries no atoms")
+                raise ValidationError("haar kind carries no atoms")
         else:
             if locs.ndim != 1 or ws.shape != locs.shape or locs.size == 0:
-                raise InvalidMeasure("atoms must be parallel nonempty 1-d arrays")
+                raise ValidationError("atoms must be parallel nonempty 1-d arrays")
             if not (np.all(np.isfinite(locs)) and np.all(np.isfinite(ws))):
-                raise InvalidMeasure("non-finite atom data")
+                raise ValidationError("non-finite atom data")
             if np.any(ws < 0):
-                raise InvalidMeasure("negative weight")
+                raise ValidationError("negative weight")
             total = ws.sum()
             if abs(total - 1.0) > WEIGHT_SUM_TOL:
-                raise InvalidMeasure(
+                raise ValidationError(
                     f"weights sum to {total!r}, not 1 within {WEIGHT_SUM_TOL}"
                 )
             if self.kind == CIRCLE_ATOMIC:
@@ -115,7 +110,7 @@ class SpectralMeasure:
             keep = ws > 0.0
             locs, ws = locs[keep], ws[keep]
             if locs.size == 0:
-                raise InvalidMeasure("measure has no mass")
+                raise ValidationError("measure has no mass")
             ws = ws / ws.sum()
         locs.setflags(write=False)
         ws.setflags(write=False)
@@ -148,11 +143,11 @@ class SpectralMeasure:
 
     def require_real(self, what="operation"):
         if self.kind != REAL_ATOMIC:
-            raise WrongSupport(f"{what} needs a real-atomic measure, got {self.kind}")
+            raise ValidationError(f"{what} needs a real-atomic measure, got {self.kind}")
 
     def require_circle(self, what="operation"):
         if self.kind not in (CIRCLE_ATOMIC, HAAR):
-            raise WrongSupport(f"{what} needs a circle measure, got {self.kind}")
+            raise ValidationError(f"{what} needs a circle measure, got {self.kind}")
 
     @cached_property
     def _reflection(self):
@@ -177,7 +172,7 @@ def cauchy_transform(mu: SpectralMeasure, z: complex) -> complex:
     z = complex(z)
     d = z - mu.locations
     if np.min(np.abs(d)) <= POLE_TOL:
-        raise PoleAtAtom(f"z={z} sits on an atom of the measure")
+        raise ValidationError(f"z={z} sits on an atom of the measure")
     return complex(np.sum(mu.weights / d))
 
 
@@ -190,7 +185,7 @@ def moment_generator_psi(mu: SpectralMeasure, z: complex) -> complex:
     xi = mu.unit_atoms
     d = 1.0 - xi * z
     if np.min(np.abs(d)) <= POLE_TOL:
-        raise PoleAtAtom(f"z={z} sits on a pole of psi")
+        raise ValidationError(f"z={z} sits on a pole of psi")
     return complex(np.sum(mu.weights * xi * z / d))
 
 
@@ -199,7 +194,7 @@ def eta_transform(mu: SpectralMeasure, z: complex) -> complex:
     psi = moment_generator_psi(mu, z)
     denom = 1.0 + psi
     if abs(denom) < POLE_TOL:
-        raise DegenerateDenominator(f"1 + psi vanished at z={z}")
+        raise NumericalError(f"1 + psi vanished at z={z}")
     return psi / denom
 
 
@@ -217,26 +212,26 @@ def reflect_circle_measure(mu: SpectralMeasure) -> SpectralMeasure:
 
 def measure_from_dict(data) -> SpectralMeasure:
     if not isinstance(data, dict) or "kind" not in data:
-        raise InvalidMeasure("measure document must be an object with a 'kind'")
+        raise ValidationError("measure document must be an object with a 'kind'")
     kind = data["kind"]
     if kind == HAAR:
         if data.get("atoms"):
-            raise InvalidMeasure("haar measure must not list atoms")
+            raise ValidationError("haar measure must not list atoms")
         return SpectralMeasure.haar()
     if kind not in (REAL_ATOMIC, CIRCLE_ATOMIC):
-        raise InvalidMeasure(f"unknown measure kind {kind!r}")
+        raise ValidationError(f"unknown measure kind {kind!r}")
     key = "x" if kind == REAL_ATOMIC else "theta"
     atoms = data.get("atoms")
     if not atoms:
-        raise InvalidMeasure("atomic measure needs a nonempty 'atoms' list")
+        raise ValidationError("atomic measure needs a nonempty 'atoms' list")
     try:
         locs = np.array([float(a[key]) for a in atoms])
         ws = np.array([float(a["w"]) for a in atoms])
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidMeasure(f"malformed atom entry: {exc}") from exc
+        raise ValidationError(f"malformed atom entry: {exc}") from exc
     total = ws.sum()
     if not math.isfinite(total) or abs(total - 1.0) > FILE_WEIGHT_TOL:
-        raise InvalidMeasure(
+        raise ValidationError(
             f"atom weights sum to {total!r}; must be within {FILE_WEIGHT_TOL} of 1"
         )
     ws = ws / total
@@ -248,5 +243,5 @@ def load_measure(path) -> SpectralMeasure:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise InvalidMeasure(f"{path}: not valid JSON ({exc})") from exc
+            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     return measure_from_dict(data)

@@ -60,8 +60,8 @@ from ._boundary import (
     refine_endpoints,
     solve,
 )
-from .errors import InvalidRadius, OutsideU, PoleAtAtom, ValidationError, ZeroLambda
-from .measures import SpectralMeasure, reflect_circle_measure
+from .errors import ValidationError
+from .measures import POLE_TOL, SpectralMeasure, reflect_circle_measure
 from .quadrature import integrate_adaptive
 
 _TINY = np.finfo(float).tiny
@@ -124,7 +124,7 @@ def f_value(mu_bar: SpectralMeasure, r: float, theta: float) -> float:
     """
     mu_bar.require_circle("f_value")
     if r <= 0.0 or r == 1.0:
-        raise InvalidRadius(f"f is singular at r={r}")
+        raise ValidationError(f"f is singular at r={r}")
     if r > 1.0:
         r = 1.0 / r
     if mu_bar.is_haar or r < _TINY:
@@ -156,7 +156,7 @@ def T_of_lambda(mu_bar: SpectralMeasure, lam: complex) -> float:
     """
     lam = complex(lam)
     if lam == 0:
-        raise ZeroLambda("T is undefined at lambda = 0")
+        raise ValidationError("T is undefined at lambda = 0")
     r, theta = abs(lam), float(np.angle(lam))
     if r == 1.0:
         fl = float(f_limit_at_circle(mu_bar, theta)[0])
@@ -184,8 +184,8 @@ def phi_map(mu_bar: SpectralMeasure, t: float, z: complex) -> complex:
         return z * np.exp(0.5 * t)
     xi = mu_bar.unit_atoms
     d = 1.0 - xi * z
-    if np.min(np.abs(d)) <= 1e-14:
-        raise PoleAtAtom(f"Phi has a pole at z={z}")
+    if np.min(np.abs(d)) <= POLE_TOL:
+        raise ValidationError(f"Phi has a pole at z={z}")
     expo = 0.5 * t * np.sum(mu_bar.weights * (1.0 + xi * z) / d)
     return z * complex(np.exp(expo))
 
@@ -281,7 +281,7 @@ def _row_at(mu_bar, t, theta, what):
     """(r, phi, w, m) at one angle of U_t; ``what`` names the caller."""
     r, phi, w, m = (float(z[0]) for z in _rows(mu_bar, t, [float(theta)], what))
     if r >= 1.0:
-        raise OutsideU(f"theta={theta} not in U_t")
+        raise ValidationError(f"theta={theta} not in U_t")
     return r, phi, w, m
 
 
@@ -387,11 +387,6 @@ def mult_law_density(mu: SpectralMeasure, t: float, theta: float):
     mu.require_circle("mult_law_density")
     r, phi, _, _ = _row_at(reflect_circle_measure(mu), t, theta, "mult_law_density")
     return phi, float(-np.log(r) / (np.pi * t))
-
-
-def arg_marginal(profile: MultiplicativeProfile) -> np.ndarray:
-    """Rows (theta, a_t(theta)) of the argument marginal a_t = -2 log(r_t) w_t."""
-    return np.column_stack((profile.thetas, profile.arg_density))
 
 
 def total_mass(profile: MultiplicativeProfile) -> float:

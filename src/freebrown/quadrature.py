@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import QuadratureNonconvergence
+from .errors import NumericalError, ValidationError
 
-#: node doublings before QuadratureNonconvergence
+#: node doublings before NumericalError
 MAX_DOUBLINGS = 18
 #: n of the first estimate, on the n + 1 nodes cos(pi k/n)
 INITIAL_NODES = 16
@@ -42,13 +42,13 @@ def integrate_adaptive(f, lo, hi, rel_tol: float = 1e-8, abs_floor: float = 1e-1
     give an empty one. Each interval refines until all its components meet
     ``|Q_k - Q_{k-1}| <= max(rel_tol * |Q_k|, abs_floor)``.
 
-    Raises QuadratureNonconvergence after MAX_DOUBLINGS refinements.
+    Raises NumericalError after MAX_DOUBLINGS refinements.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     scalar = lo.ndim == 0
     lo, hi = lo.reshape(-1), hi.reshape(-1)
     if np.any(hi <= lo):
-        raise ValueError("empty or inverted integration interval")
+        raise ValidationError("empty or inverted integration interval")
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
 
@@ -78,7 +78,7 @@ def integrate_adaptive(f, lo, hi, rel_tol: float = 1e-8, abs_floor: float = 1e-1
         out[rows[done]] = est[done]
         rows, vals, prev = rows[~done], merged[~done], est[~done]
     if len(rows):
-        raise QuadratureNonconvergence(
+        raise NumericalError(
             f"no convergence on [{lo[rows[0]]}, {hi[rows[0]]}] after {MAX_DOUBLINGS} doublings"
         )
     return out[0] if scalar else out

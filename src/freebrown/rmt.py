@@ -25,13 +25,7 @@ import numpy as np
 
 from ._boundary import blocks, check_time
 from .additive import AdditiveProfile
-from .errors import (
-    EigenSolverFailure,
-    MismatchedModel,
-    NonpositiveTime,
-    NumericalError,
-    ValidationError,
-)
+from .errors import NumericalError, ValidationError
 from .measures import SpectralMeasure
 from .multiplicative import MultiplicativeProfile
 
@@ -155,9 +149,9 @@ def _eigvals(mat):
     try:
         vals = np.linalg.eigvals(mat)
     except np.linalg.LinAlgError as exc:
-        raise EigenSolverFailure(f"eigvals failed: {exc}") from exc
+        raise NumericalError(f"eigvals failed: {exc}") from exc
     if not np.all(np.isfinite(vals)):
-        raise EigenSolverFailure("eigensolver returned non-finite values")
+        raise NumericalError("eigensolver returned non-finite values")
     return np.sort(vals)
 
 
@@ -305,10 +299,10 @@ def compare_marginal(
     model, kind, field = _MARGINALS[marginal]
     if spectrum.model != model or not isinstance(profile, kind):
         article = "an" if model == ADDITIVE else "a"
-        raise MismatchedModel(f"{marginal} marginal needs {article} {model} pair")
+        raise ValidationError(f"{marginal} marginal needs {article} {model} pair")
     x = getattr(profile, field)
     if len(x) == 0:
-        raise MismatchedModel("empty profile grid")
+        raise ValidationError("empty profile grid")
     bins = len(x)
     if marginal == REAL_PART:
         cdf = _cumtrapz(2.0 * profile.v * profile.w, x)
@@ -340,7 +334,7 @@ def load_spectrum(path, meta: dict) -> EmpiricalSpectrum:
         check_time(t)
         steps = None if meta.get("steps") is None else int(meta["steps"])
         seed = int(meta["seed"])
-    except (ValueError, TypeError, KeyError, AttributeError, NonpositiveTime) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise ValidationError(f"bad spectrum metadata for {path}: {exc!r}") from exc
     if model not in (ADDITIVE, MULTIPLICATIVE) or n < 2:
         raise ValidationError(

@@ -17,12 +17,7 @@ from freebrown.additive import (
 )
 from freebrown.cli import write_rows
 from freebrown.cumulants import free_additive_with_semicircle
-from freebrown.errors import (
-    NonpositiveTime,
-    OutsideSupport,
-    PoleAtAtom,
-    ValidationError,
-)
+from freebrown.errors import ValidationError
 from freebrown.measures import SpectralMeasure
 
 D0 = SpectralMeasure.point_mass(0.0)
@@ -52,7 +47,7 @@ def test_v_examples():
 
 
 def test_v_nonpositive_time():
-    with pytest.raises(NonpositiveTime):
+    with pytest.raises(ValidationError, match=r"^t must be finite and > 0, got 0\.0$"):
         v_t(D0, 0.0, 0.0)
 
 
@@ -86,7 +81,7 @@ def test_H_examples():
 
 
 def test_H_pole():
-    with pytest.raises(PoleAtAtom):
+    with pytest.raises(ValidationError, match="^z=0j sits on an atom of the measure$"):
         subordination_H(D0, 1.0, 0.0)
 
 
@@ -157,7 +152,7 @@ def test_law_density_examples():
 
 
 def test_law_outside_support():
-    with pytest.raises(OutsideSupport):
+    with pytest.raises(ValidationError, match=r"^v_t\(3\.0\) = 0: no push-forward density there$"):
         additive_law_density(D0, 1.0, 3.0)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from freebrown import _boundary, additive, multiplicative
 from freebrown.additive import additive_profile, v_t_array
 from freebrown.cli import parse_grid
-from freebrown.errors import NumericalError, ValidationError, WrongSupport
+from freebrown.errors import NumericalError, ValidationError
 from freebrown.measures import SpectralMeasure, reflect_circle_measure
 from freebrown.multiplicative import multiplicative_profile, r_t_array
 
@@ -215,7 +215,7 @@ def test_wrong_support_names_the_function_called(f):
     """A measure on the wrong space is refused in the name of the public
     function called, not of the row pass or array function behind it."""
     mu = ASYM if f in ADDITIVE_ROWS else TWO
-    with pytest.raises(WrongSupport, match=rf"^{f.__name__} needs a "):
+    with pytest.raises(ValidationError, match=rf"^{f.__name__} needs a "):
         f(mu, 0.8, _points(f, 0.5))
 
 

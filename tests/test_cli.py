@@ -223,10 +223,10 @@ def test_mult_time_past_normal_radii_exit_code(tmp_path, capsys, doc):
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     from freebrown import cli
-    from freebrown.errors import QuadratureNonconvergence
+    from freebrown.errors import NumericalError
 
     def boom(profile):
-        raise QuadratureNonconvergence("forced for the exit-code path")
+        raise NumericalError("forced for the exit-code path")
 
     monkeypatch.setattr(cli.additive, "total_mass", boom)
     mpath = write_measure(tmp_path, DELTA0, "d0.json")

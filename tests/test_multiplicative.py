@@ -4,20 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freebrown.cli import write_rows
-from freebrown.errors import (
-    InvalidRadius,
-    NonpositiveTime,
-    OutsideU,
-    PoleAtAtom,
-    ValidationError,
-    ZeroLambda,
-)
+from freebrown.errors import ValidationError
 from freebrown.measures import SpectralMeasure, reflect_circle_measure
 from freebrown.multiplicative import (
     T_of_lambda,
+    _rows,
     annulus_radial_cdf,
     arcs_sidecar,
-    arg_marginal,
     density_w_theta,
     f_limit_at_circle,
     f_value,
@@ -30,6 +23,7 @@ from freebrown.multiplicative import (
     r_t,
     total_mass,
 )
+from freebrown.quadrature import integrate_adaptive
 
 HAAR = SpectralMeasure.haar()
 D0C = SpectralMeasure.circle_atomic([0.0], [1.0])  # delta at angle 0
@@ -70,9 +64,9 @@ def test_f_small_r_limit():
 
 
 def test_f_invalid_radius():
-    with pytest.raises(InvalidRadius):
+    with pytest.raises(ValidationError, match=r"^f is singular at r=1\.0$"):
         f_value(HAAR, 1.0, 0.0)
-    with pytest.raises(InvalidRadius):
+    with pytest.raises(ValidationError, match=r"^f is singular at r=0\.0$"):
         f_value(HAAR, 0.0, 0.0)
 
 
@@ -95,7 +89,7 @@ def test_T_examples():
 
 
 def test_T_zero_lambda():
-    with pytest.raises(ZeroLambda):
+    with pytest.raises(ValidationError, match="^T is undefined at lambda = 0$"):
         T_of_lambda(HAAR, 0.0)
 
 
@@ -124,7 +118,7 @@ def test_r_outside_u():
 
 
 def test_r_nonpositive_time():
-    with pytest.raises(NonpositiveTime):
+    with pytest.raises(ValidationError, match=r"^t must be finite and > 0, got -1\.0$"):
         r_t(HAAR, -1.0, 0.0)
 
 
@@ -143,7 +137,7 @@ def test_r_residual(th, t):
 def test_phi_map_examples():
     assert phi_map(HAAR, 1.0, 0.3) == pytest.approx(0.3 * np.exp(0.5))
     assert phi_map(D0C, 1.0, 0.0) == 0.0
-    with pytest.raises(PoleAtAtom):
+    with pytest.raises(ValidationError, match=r"^Phi has a pole at z=\(1\+0j\)$"):
         phi_map(reflect_circle_measure(D0C), 1.0, 1.0 + 0j)
 
 
@@ -170,9 +164,9 @@ def test_phi_of_theta_examples():
 
 
 def test_phi_outside_u():
-    with pytest.raises(OutsideU):
+    with pytest.raises(ValidationError, match=r"^theta=1\.57\d* not in U_t$"):
         phi_of_theta(D0C, 1.0, np.pi / 2)
-    with pytest.raises(OutsideU):
+    with pytest.raises(ValidationError, match=r"^theta=1\.57\d* not in U_t$"):
         m_t(D0C, 1.0, np.pi / 2)
 
 
@@ -212,7 +206,7 @@ def test_scalar_wrappers_equal_profile_rows():
 
 
 def test_w_outside_u():
-    with pytest.raises(OutsideU):
+    with pytest.raises(ValidationError, match=r"^theta=1\.57\d* not in U_t$"):
         density_w_theta(D0C, 1.0, np.pi / 2)
 
 
@@ -277,9 +271,6 @@ def test_profile_invariants():
 def test_profile_mass_and_arg_marginal():
     prof = multiplicative_profile(ASYM, 0.8, 1441)
     assert total_mass(prof) == pytest.approx(1.0, abs=1e-6)
-    rows = arg_marginal(prof)
-    assert rows.shape == (1441, 2)
-    assert np.array_equal(rows[:, 1], prof.arg_density)
 
 
 def test_arg_marginal_vanishes_at_arc_boundary():
@@ -311,11 +302,27 @@ def test_arg_marginal_vanishes_at_arc_boundary():
 )
 def test_mass_property_random_measures(atoms, t):
     """Total Brown mass is 1 for random atomic unitaries; t >= 0.8 keeps the
-    arcs wide relative to the angle grid."""
+    arcs wide relative to the angle grid. The push-forward is the law of
+    u u_t, so by freeness, tau(u_t) = e^{-t/2} and tau(u_t^2) = e^{-t}(1 - t),
+    its first two moments are e^{-t/2} m_1 and e^{-t}(m_2 - t m_1^2) with
+    m_k = sum_j w_j e^{i k alpha_j} on the unitary's own atoms. Complex
+    moments, not only cosines: a reflection u -> u* conjugates them."""
     locs, ws = atoms
     mu = SpectralMeasure.circle_atomic(locs, np.array(ws) / np.sum(ws))
     prof = multiplicative_profile(mu, t, 721)
     assert total_mass(prof) == pytest.approx(1.0, abs=1e-6)
+
+    def integrand(th):
+        r, phi, w, _ = _rows(prof.measure_bar, t, th)
+        a = -2.0 * np.log(r) * w  # p_t dphi = a_t dtheta
+        return np.stack([f(k * phi) * a for k in (1, 2) for f in (np.cos, np.sin)], axis=1)
+
+    lo, hi = np.transpose(prof.u_components)
+    got = integrate_adaptive(integrand, lo, hi, rel_tol=1e-9).sum(axis=0)
+    m1, m2 = (np.sum(mu.weights * np.exp(1j * k * mu.locations)) for k in (1, 2))
+    want = [np.exp(-t / 2.0) * m1, np.exp(-t) * (m2 - t * m1 * m1)]
+    assert abs(complex(got[0], got[1]) - want[0]) <= 1e-8
+    assert abs(complex(got[2], got[3]) - want[1]) <= 1e-8
 
 
 def test_profile_validation():
@@ -350,7 +357,7 @@ def test_mult_law_point_mass():
     phi, p = mult_law_density(D0C, 1.0, 0.0)
     assert phi == pytest.approx(0.0, abs=1e-12)
     assert p == pytest.approx(-np.log(r) / np.pi)
-    with pytest.raises(OutsideU):
+    with pytest.raises(ValidationError, match=r"^theta=1\.57\d* not in U_t$"):
         mult_law_density(D0C, 1.0, np.pi / 2)
 
 
@@ -396,9 +403,6 @@ def test_law_matches_unitary_flow_closed_form(t):
     """For a point-mass unitary the flow law is the free unitary Brownian
     motion itself; its circular moments have a classical closed form. This
     exercises r_t, phi and w_t end to end against the literature values."""
-    from freebrown.multiplicative import _rows
-    from freebrown.quadrature import integrate_adaptive
-
     mu_bar = reflect_circle_measure(D0C)
     prof = multiplicative_profile(D0C, t, 721)
 
@@ -427,7 +431,7 @@ def test_annulus_check(t):
 
 
 def test_annulus_nonpositive_time():
-    with pytest.raises(NonpositiveTime):
+    with pytest.raises(ValidationError, match=r"^t must be finite and > 0, got 0\.0$"):
         haar_annulus_check(0.0)
 
 
