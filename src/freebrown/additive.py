@@ -48,7 +48,7 @@ from ._boundary import (
     solve,
 )
 from .errors import ValidationError
-from .measures import SpectralMeasure, cauchy_transform
+from .measures import SpectralMeasure
 from .quadrature import integrate_adaptive
 
 
@@ -131,12 +131,6 @@ def v_t_array(mu: SpectralMeasure, t: float, a) -> np.ndarray:
 def v_t(mu: SpectralMeasure, t: float, a: float) -> float:
     """Support height at a single point (0 outside the strip)."""
     return float(_rows(mu, t, [a], "v_t")[0][0])
-
-
-def subordination_H(mu: SpectralMeasure, t: float, z: complex) -> complex:
-    """H_t(z) = z + t G(z), the left inverse of the subordination map."""
-    check_time(t)
-    return complex(z) + t * cauchy_transform(mu, z)
 
 
 def psi_t_array(mu, t, a):

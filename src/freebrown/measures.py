@@ -1,17 +1,11 @@
-"""Atomic spectral measures on the line or the unit circle, and their transforms.
+"""Atomic spectral measures on the line or the unit circle.
 
 A measure is a finite list of atoms ``(location, weight)`` with weights summing
 to one; the Haar measure on the circle is the single closed-form special case.
 Continuous inputs are admitted only as user-supplied atomic discretizations,
-which keeps every integral in the package an exact finite sum.
-
-Transforms implemented here:
-
-* Cauchy transform ``G(z) = sum_j w_j / (z - x_j)`` (real-atomic),
-* moment generating function ``psi(z) = sum_j w_j xi_j z / (1 - xi_j z)``
-  with ``xi_j = exp(i theta_j)`` (circle),
-* ``eta(z) = psi(z) / (1 + psi(z))``,
-* reflection ``theta_j -> -theta_j`` (distribution of the adjoint unitary).
+which keeps every integral in the package an exact finite sum. The one
+transform kept here is the reflection ``theta_j -> -theta_j`` (distribution of
+the adjoint unitary), which the multiplicative flow integrates against.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
 REAL_ATOMIC = "real-atomic"
 CIRCLE_ATOMIC = "circle-atomic"
@@ -35,8 +29,6 @@ DEDUP_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
 #: file loader renormalizes weight sums within this window, rejects beyond
 FILE_WEIGHT_TOL = 1e-6
-#: evaluation this close to a pole raises ValidationError
-POLE_TOL = 1e-14
 
 
 def wrap_angle(theta):
@@ -101,7 +93,7 @@ class SpectralMeasure:
             total = ws.sum()
             if abs(total - 1.0) > WEIGHT_SUM_TOL:
                 raise ValidationError(
-                    f"weights sum to {total!r}, not 1 within {WEIGHT_SUM_TOL}"
+                    f"weights sum to {float(total)}, not 1 within {WEIGHT_SUM_TOL}"
                 )
             if self.kind == CIRCLE_ATOMIC:
                 locs = wrap_angle(locs)
@@ -156,47 +148,6 @@ class SpectralMeasure:
             return self
         return SpectralMeasure.circle_atomic(wrap_angle(-self.locations), self.weights)
 
-    @property
-    def unit_atoms(self):
-        """Atoms as points exp(i theta_j) on the unit circle."""
-        self.require_circle()
-        return np.exp(1j * self.locations)
-
-
-# -- transforms -------------------------------------------------------------
-
-
-def cauchy_transform(mu: SpectralMeasure, z: complex) -> complex:
-    """G_mu(z) = sum_j w_j / (z - x_j); maps C+ into C-."""
-    mu.require_real("cauchy_transform")
-    z = complex(z)
-    d = z - mu.locations
-    if np.min(np.abs(d)) <= POLE_TOL:
-        raise ValidationError(f"z={z} sits on an atom of the measure")
-    return complex(np.sum(mu.weights / d))
-
-
-def moment_generator_psi(mu: SpectralMeasure, z: complex) -> complex:
-    """psi_mu(z) = sum_j w_j xi_j z / (1 - xi_j z); identically 0 for Haar."""
-    mu.require_circle("moment_generator_psi")
-    if mu.is_haar:
-        return 0.0 + 0.0j
-    z = complex(z)
-    xi = mu.unit_atoms
-    d = 1.0 - xi * z
-    if np.min(np.abs(d)) <= POLE_TOL:
-        raise ValidationError(f"z={z} sits on a pole of psi")
-    return complex(np.sum(mu.weights * xi * z / d))
-
-
-def eta_transform(mu: SpectralMeasure, z: complex) -> complex:
-    """eta = psi / (1 + psi)."""
-    psi = moment_generator_psi(mu, z)
-    denom = 1.0 + psi
-    if abs(denom) < POLE_TOL:
-        raise NumericalError(f"1 + psi vanished at z={z}")
-    return psi / denom
-
 
 def reflect_circle_measure(mu: SpectralMeasure) -> SpectralMeasure:
     """Distribution of the adjoint: atom angles negated, Haar fixed."""
@@ -232,7 +183,7 @@ def measure_from_dict(data) -> SpectralMeasure:
     total = ws.sum()
     if not math.isfinite(total) or abs(total - 1.0) > FILE_WEIGHT_TOL:
         raise ValidationError(
-            f"atom weights sum to {total!r}; must be within {FILE_WEIGHT_TOL} of 1"
+            f"atom weights sum to {float(total)}; must be within {FILE_WEIGHT_TOL} of 1"
         )
     ws = ws / total
     return SpectralMeasure(kind, locs, ws)

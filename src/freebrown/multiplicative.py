@@ -32,8 +32,9 @@ where m_t(theta) = 2 sum_j w_j r sin u_j / D_j and phi(theta) =
 theta + (t/2) m_t(theta) is the continuous boundary angle map; r_t'(theta)
 enters dm_t/dtheta through implicit differentiation of the defining
 identity, so no finite differences appear. One function of (p, x)
-(``_tables``) gives f, its u-slope and the iota tables, at each Newton
-iterate and, in f_value, at one point. The Haar measure short-circuits every
+(``_tables``) gives f, its u-slope and the iota tables at each Newton
+iterate; the package evaluates f nowhere else, so the direct sum in r above
+stays free to check the roots. The Haar measure short-circuits every
 formula: r_t = exp(-t/2), phi = theta, w_t = 1/(2 pi t).
 
 Everything is formed from u (p = 4 expm1(u), x = 2 asinh(sqrt(expm1 u))),
@@ -61,7 +62,7 @@ from ._boundary import (
     solve,
 )
 from .errors import ValidationError
-from .measures import POLE_TOL, SpectralMeasure, reflect_circle_measure
+from .measures import SpectralMeasure, reflect_circle_measure
 from .quadrature import integrate_adaptive
 
 _TINY = np.finfo(float).tiny
@@ -97,7 +98,8 @@ def _log_g_slope(x, p, tau):
 
 
 def _tables(p, x, q4, wj):
-    """(iota, kappa, S_iota, S_kappa, f, d ln f/du) at p = 4 sinh^2(x/2):
+    """(iota, kappa, S_iota, S_kappa, f, d ln f/du) at p = 4 sinh^2(x/2), one
+    row per angle of a Newton iterate of the r_t solve in ``_rows``:
     iota_j = w_j (4 + p)/(p + q4_j), kappa_j = iota_j (4 + p)/(p + q4_j),
     f = tanh(x/2)/(2x) S_iota and d ln f/du = d ln g/du + 1 - S_kappa/S_iota,
     as d iota_j/du = iota_j (q4_j - 4)/(p + q4_j). Both tables tend to w_j
@@ -116,24 +118,6 @@ def _tables(p, x, q4, wj):
     return iota, kappa, S_i, S_k, g * S_i, _log_g_slope(x, p, tau) + 1.0 - S_k / S_i
 
 
-def f_value(mu_bar: SpectralMeasure, r: float, theta: float) -> float:
-    """f(r, theta); canonicalized through f(r) = f(1/r) for r > 1.
-
-    Haar, and any measure below the smallest normal r (where the sum is 1
-    to rounding), returns the closed form 1/(-2 log r).
-    """
-    mu_bar.require_circle("f_value")
-    if r <= 0.0 or r == 1.0:
-        raise ValidationError(f"f is singular at r={r}")
-    if r > 1.0:
-        r = 1.0 / r
-    if mu_bar.is_haar or r < _TINY:
-        return float(1.0 / (-2.0 * np.log(r)))
-    q4 = 4.0 * np.sin(0.5 * (float(theta) + mu_bar.locations[None, :])) ** 2
-    p, x = np.array([(1.0 - r) ** 2 / r]), np.array([-np.log(r)])
-    return float(_tables(p, x, q4, mu_bar.weights[None, :])[4][0])
-
-
 def f_limit_at_circle(mu_bar: SpectralMeasure, theta) -> np.ndarray:
     """f(1-, theta) = sum_j w_j / (4 sin^2(u_j/2)); +inf at atom angles.
 
@@ -149,21 +133,6 @@ def f_limit_at_circle(mu_bar: SpectralMeasure, theta) -> np.ndarray:
     return vals
 
 
-def T_of_lambda(mu_bar: SpectralMeasure, lam: complex) -> float:
-    """T(lambda) = 1/f(|lambda|, arg lambda); 0 where f diverges.
-
-    Satisfies T(lambda) = T(1/conj(lambda)).
-    """
-    lam = complex(lam)
-    if lam == 0:
-        raise ValidationError("T is undefined at lambda = 0")
-    r, theta = abs(lam), float(np.angle(lam))
-    if r == 1.0:
-        fl = float(f_limit_at_circle(mu_bar, theta)[0])
-        return 0.0 if np.isinf(fl) else 1.0 / fl
-    return 1.0 / f_value(mu_bar, r, theta)
-
-
 def r_t_array(mu_bar: SpectralMeasure, t: float, thetas) -> np.ndarray:
     """Boundary radius r_t at each angle (1 outside U_t)."""
     return _rows(mu_bar, t, thetas, "r_t_array")[0]
@@ -171,23 +140,6 @@ def r_t_array(mu_bar: SpectralMeasure, t: float, thetas) -> np.ndarray:
 
 def r_t(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
     return float(_rows(mu_bar, t, [theta], "r_t")[0][0])
-
-
-def phi_map(mu_bar: SpectralMeasure, t: float, z: complex) -> complex:
-    """Left inverse of the subordination map:
-    Phi(z) = z exp((t/2) sum_j w_j (1 + xi_j z)/(1 - xi_j z)), xi_j = e^{i beta_j}.
-    """
-    mu_bar.require_circle("phi_map")
-    check_time(t)
-    z = complex(z)
-    if mu_bar.is_haar:
-        return z * np.exp(0.5 * t)
-    xi = mu_bar.unit_atoms
-    d = 1.0 - xi * z
-    if np.min(np.abs(d)) <= POLE_TOL:
-        raise ValidationError(f"Phi has a pole at z={z}")
-    expo = 0.5 * t * np.sum(mu_bar.weights * (1.0 + xi * z) / d)
-    return z * complex(np.exp(expo))
 
 
 def _rows(mu_bar, t, thetas, what="r_t"):

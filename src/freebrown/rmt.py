@@ -326,16 +326,27 @@ def spectrum_metadata(spectrum: EmpiricalSpectrum) -> dict:
     return meta
 
 
+def _integer(meta, key):
+    """meta[key] as an int: a JSON integer, or a float with no fractional part."""
+    value = meta[key]
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_spectrum(path, meta: dict) -> EmpiricalSpectrum:
     """Eigenvalues written by ``simulate``: a ``re,im`` header, then one CSV
     row of finite values per eigenvalue, as many rows as the metadata's n."""
     try:
-        t, n, model = float(meta["t"]), int(meta["n"]), str(meta["model"])
+        t, n, model = float(meta["t"]), _integer(meta, "n"), str(meta["model"])
         check_time(t)
-        steps = None if meta.get("steps") is None else int(meta["steps"])
-        seed = int(meta["seed"])
+        steps = None if meta.get("steps") is None else _integer(meta, "steps")
+        seed = _integer(meta, "seed")
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
-        raise ValidationError(f"bad spectrum metadata for {path}: {exc!r}") from exc
+        detail = f"no {exc} entry" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"bad spectrum metadata for {path}: {detail}") from exc
     if model not in (ADDITIVE, MULTIPLICATIVE) or n < 2:
         raise ValidationError(
             f"bad spectrum metadata for {path}: model {model!r}, n={n}; "

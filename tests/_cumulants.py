@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
-from .measures import SpectralMeasure
+from freebrown.errors import ValidationError
+from freebrown.measures import SpectralMeasure
 
 MAX_ORDER = 12
 

@@ -12,6 +12,13 @@ import time
 
 import numpy as np
 import pytest
+from _cumulants import (
+    free_additive_with_semicircle,
+    free_cumulants_to_moments,
+    moments_of_measure,
+    moments_to_free_cumulants,
+)
+from _transforms import phi_map
 
 from freebrown.additive import (
     additive_profile,
@@ -20,18 +27,11 @@ from freebrown.additive import (
     pushforward_moments,
     total_mass,
 )
-from freebrown.cumulants import (
-    free_additive_with_semicircle,
-    free_cumulants_to_moments,
-    moments_of_measure,
-    moments_to_free_cumulants,
-)
 from freebrown.measures import SpectralMeasure, reflect_circle_measure
 from freebrown.multiplicative import (
     density_w_theta,
     haar_annulus_check,
     multiplicative_profile,
-    phi_map,
     phi_of_theta,
     r_t,
     r_t_array,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from _cumulants import free_additive_with_semicircle
+from _transforms import subordination_H
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,13 +12,11 @@ from freebrown.additive import (
     density_w_array,
     pushforward_moments,
     psi_t,
-    subordination_H,
     support_sidecar,
     total_mass,
     v_t,
 )
 from freebrown.cli import write_rows
-from freebrown.cumulants import free_additive_with_semicircle
 from freebrown.errors import ValidationError
 from freebrown.measures import SpectralMeasure
 

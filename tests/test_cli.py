@@ -350,6 +350,13 @@ def test_malformed_spectrum_metadata_exit_code(tmp_path, capsys):
         {"model": "multiplicative", "n": 2, "t": "soon", "seed": 1},
         {"model": "multiplicative", "n": None, "t": 1, "seed": 1},
         ["multiplicative", 2, 1, 1],
+        # counts are integers: none is truncated, and a boolean is no count
+        {"model": "multiplicative", "n": 2.9, "t": 1, "seed": 1.7},
+        {"model": "multiplicative", "n": 2, "t": 1, "seed": 1.7},
+        {"model": "multiplicative", "n": 2, "t": 1, "seed": 1, "steps": 100.5},
+        {"model": "multiplicative", "n": 2, "t": 1, "seed": True},
+        {"model": "multiplicative", "n": True, "t": 1, "seed": 1},
+        {"model": "multiplicative", "n": 2, "t": 1, "seed": 1, "steps": False},
     ):
         meta.write_text(json.dumps(doc))
         assert main(argv) == 2
@@ -366,7 +373,10 @@ def test_nonpositive_spectrum_time_exit_code(tmp_path, capsys):
     (tmp_path / "s.csv.meta.json").write_text(json.dumps(meta))
     argv = ["compare", "--spectrum", str(eig), "--measure", mpath, "--marginal", "real-part"]
     assert main(argv) == 2
-    assert "metadata" in json.loads(capsys.readouterr().err.strip())["error"]
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert "metadata" in error
+    assert error.endswith("t must be finite and > 0, got -1.0")
+    assert "ValidationError(" not in error
 
 
 def test_directory_as_input_exit_code(tmp_path, capsys):

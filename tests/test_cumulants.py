@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from freebrown.cumulants import (
+from _cumulants import (
     MAX_ORDER,
     free_additive_with_semicircle,
     free_cumulants_to_moments,
     moments_of_measure,
     moments_to_free_cumulants,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from freebrown.errors import ValidationError
 from freebrown.measures import SpectralMeasure
 

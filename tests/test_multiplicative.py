@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _transforms import T_of_lambda, f_value, phi_map
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,18 +8,15 @@ from freebrown.cli import write_rows
 from freebrown.errors import ValidationError
 from freebrown.measures import SpectralMeasure, reflect_circle_measure
 from freebrown.multiplicative import (
-    T_of_lambda,
     _rows,
     annulus_radial_cdf,
     arcs_sidecar,
     density_w_theta,
     f_limit_at_circle,
-    f_value,
     haar_annulus_check,
     m_t,
     mult_law_density,
     multiplicative_profile,
-    phi_map,
     phi_of_theta,
     r_t,
     total_mass,
