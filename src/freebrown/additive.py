@@ -231,7 +231,7 @@ def _integrate_moments(profile: AdditiveProfile, powers) -> np.ndarray:
 
     # (-1, 2): a grid clear of the support keeps no interval, and mass 0
     lo, hi = np.reshape(profile.support_intervals, (-1, 2)).T
-    return integrate_adaptive(f, lo, hi, rel_tol=1e-8).sum(axis=0)
+    return integrate_adaptive(f, lo, hi).sum(axis=0)
 
 
 def pushforward_moments(profile: AdditiveProfile, k_max: int) -> np.ndarray:

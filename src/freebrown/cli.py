@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -68,6 +69,8 @@ def parse_grid(spec, mu, t):
         raise ValidationError(f"bad grid spec {spec!r}, want lo:hi:n") from exc
     if n < 16 or not hi > lo:
         raise ValidationError("grid needs hi > lo and n >= 16")
+    if not math.isfinite(hi - lo):  # an infinite bound, or a span past the floats
+        raise ValidationError(f"grid {spec!r} needs finite bounds and a finite span hi - lo")
     return np.linspace(lo, hi, n)
 
 

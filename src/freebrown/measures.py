@@ -161,6 +161,14 @@ def reflect_circle_measure(mu: SpectralMeasure) -> SpectralMeasure:
 #  "atoms": [{"x" | "theta": number, "w": number}, ...]}
 
 
+def _number(atom, key):
+    """atom[key] as a float: a JSON number, not a boolean or a string."""
+    value = atom[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def measure_from_dict(data) -> SpectralMeasure:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValidationError("measure document must be an object with a 'kind'")
@@ -176,9 +184,9 @@ def measure_from_dict(data) -> SpectralMeasure:
     if not atoms:
         raise ValidationError("atomic measure needs a nonempty 'atoms' list")
     try:
-        locs = np.array([float(a[key]) for a in atoms])
-        ws = np.array([float(a["w"]) for a in atoms])
-    except (KeyError, TypeError, ValueError) as exc:
+        locs = np.array([_number(a, key) for a in atoms])
+        ws = np.array([_number(a, "w") for a in atoms])
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValidationError(f"malformed atom entry: {exc}") from exc
     total = ws.sum()
     if not math.isfinite(total) or abs(total - 1.0) > FILE_WEIGHT_TOL:

@@ -20,6 +20,8 @@ from .errors import NumericalError, ValidationError
 MAX_DOUBLINGS = 18
 #: n of the first estimate, on the n + 1 nodes cos(pi k/n)
 INITIAL_NODES = 16
+#: absolute floor of the per-interval convergence test
+ABS_FLOOR = 1e-12
 
 
 def _clenshaw_curtis(vals):
@@ -33,14 +35,15 @@ def _clenshaw_curtis(vals):
     return (c * (2.0 / (1.0 - j * j))).sum(axis=-1)
 
 
-def integrate_adaptive(f, lo, hi, rel_tol: float = 1e-8, abs_floor: float = 1e-12):
+def integrate_adaptive(f, lo, hi, rel_tol: float = 1e-8):
     """Integrate a vectorized (possibly vector-valued) integrand over [lo, hi].
 
     ``f`` maps a 1-d array of abscissas to an array of shape ``(n,)`` or
     ``(n, m)``. ``lo`` and ``hi`` are scalars or arrays of interval ends;
     array ends give a leading interval axis to the result, and no intervals
     give an empty one. Each interval refines until all its components meet
-    ``|Q_k - Q_{k-1}| <= max(rel_tol * |Q_k|, abs_floor)``.
+    ``|Q_k - Q_{k-1}| <= max(rel_tol * |Q_k|, ABS_FLOOR)``, with the floor
+    fixed at 1e-12.
 
     Raises NumericalError after MAX_DOUBLINGS refinements.
     """
@@ -73,7 +76,7 @@ def integrate_adaptive(f, lo, hi, rel_tol: float = 1e-8, abs_floor: float = 1e-1
         merged[..., 0::2] = vals
         merged[..., 1::2] = substituted(rows, np.cos(np.pi * np.arange(1, n, 2) / n))
         est = _clenshaw_curtis(merged)
-        ok = np.abs(est - prev) <= np.maximum(rel_tol * np.abs(est), abs_floor)
+        ok = np.abs(est - prev) <= np.maximum(rel_tol * np.abs(est), ABS_FLOOR)
         done = ok.all(axis=tuple(range(1, ok.ndim)))
         out[rows[done]] = est[done]
         rows, vals, prev = rows[~done], merged[~done], est[~done]

@@ -23,11 +23,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._boundary import blocks, check_time
+from ._boundary import check_time
 from .additive import AdditiveProfile
 from .errors import NumericalError, ValidationError
 from .measures import SpectralMeasure
-from .multiplicative import MultiplicativeProfile
+from .multiplicative import MultiplicativeProfile, radius_cdf
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -258,24 +258,6 @@ def _ecdf(samples, at):
     return np.searchsorted(samples, at, side="right") / len(samples)
 
 
-def _radius_cdf(profile, radii):
-    """CDF(r) = int w_t(theta) log(min(r, 1/r_t)/r_t)+ dtheta at each radius,
-    filled a block of radii at a time so the (radii x angles) table stays
-    within ``_boundary.TABLE_ENTRIES``; each radius is its own trapezoid."""
-    x = profile.thetas
-    hit = profile.r < 1.0
-    log_rt = np.log(profile.r[hit])
-    inv_rt = 1.0 / profile.r[hit]
-    wt = profile.w[hit]
-    cdf = np.empty(len(radii))
-    for rows in blocks(len(radii), len(x)):
-        gain = np.clip(np.log(np.minimum(radii[rows, None], inv_rt)) - log_rt, 0.0, None)
-        full = np.zeros((len(gain), len(x)))
-        full[:, hit] = wt * gain
-        cdf[rows] = np.trapezoid(full, x, axis=1)
-    return cdf
-
-
 #: marginal -> (spectrum model, profile class, the profile's abscissa field)
 _MARGINALS = {
     REAL_PART: (ADDITIVE, AdditiveProfile, "grid"),
@@ -290,9 +272,9 @@ def compare_marginal(
     """Sup over a grid of |empirical CDF - profile CDF| for one marginal.
 
     real-part (additive): density 2 v_t w_t on the profile grid.
-    argument (multiplicative): density a_t on the angle grid.
-    radius (multiplicative): CDF(r) = int w_t(theta) log(min(r, 1/r_t)/r_t)+
-    dtheta, on a uniform radius grid spanning the support annulus.
+    argument (multiplicative): density a_t on the angle grid, closed at -pi.
+    radius (multiplicative): ``multiplicative.radius_cdf``, on a uniform
+    radius grid spanning the support annulus.
     """
     if marginal not in _MARGINALS:
         raise ValidationError(f"unknown marginal {marginal!r}")
@@ -308,13 +290,15 @@ def compare_marginal(
         cdf = _cumtrapz(2.0 * profile.v * profile.w, x)
         emp = _ecdf(spectrum.eigenvalues.real, x)
     elif marginal == ARGUMENT:
-        cdf = _cumtrapz(profile.arg_density, x)
+        # the grid is periodic: close it at thetas[-1] - 2 pi = -pi, where a_t is a_t(pi)
+        x = np.concatenate(([x[-1] - 2.0 * np.pi], x))
+        cdf = _cumtrapz(np.concatenate((profile.arg_density[-1:], profile.arg_density)), x)
         emp = _ecdf(np.angle(spectrum.eigenvalues), x)
     else:
         r_in = float(np.min(profile.r))
         bins = 800
         radii = np.linspace(0.97 * r_in, 1.03 / r_in, bins)
-        cdf = _radius_cdf(profile, radii)
+        cdf = radius_cdf(profile, radii)
         emp = _ecdf(np.abs(spectrum.eigenvalues), radii)
     dist = float(np.max(np.abs(emp - cdf)))
     return ComparisonReport(spectrum.model, spectrum.n, spectrum.t, marginal, dist, bins)

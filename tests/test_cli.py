@@ -161,6 +161,30 @@ def test_validation_exit_code(tmp_path, capsys):
     assert json.loads(err.strip())["error"]
 
 
+@pytest.mark.parametrize(
+    "atom", [{"x": True, "w": 1}, {"x": 0, "w": "1"}, {"theta": "0.5", "w": 1}]
+)
+def test_non_number_atom_exit_code(tmp_path, capsys, atom):
+    kind = "real-atomic" if "x" in atom else "circle-atomic"
+    mpath = write_measure(tmp_path, {"kind": kind, "atoms": [atom]}, "m.json")
+    flow = "additive" if "x" in atom else "mult"
+    code = main([flow, "density", "--measure", mpath, "--t", "1", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "must be a number" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+@pytest.mark.parametrize("grid", ["-inf:inf:100", "0:inf:100", "-1e308:1e308:100"])
+def test_grid_bounds_must_be_finite(tmp_path, capsys, grid):
+    """An infinite bound or a span past the largest float is refused before
+    linspace, which would warn on stderr (the suite turns RuntimeWarnings
+    into errors): the error object stays the only thing written there."""
+    mpath = write_measure(tmp_path, DELTA0, "d0.json")
+    argv = ["additive", "density", "--measure", mpath, "--t", "1", f"--grid={grid}",
+            "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert "finite" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
 def test_missing_measure_exit_code(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = main(

@@ -244,3 +244,11 @@ def test_load_rejects_garbage():
         measure_from_dict({"kind": "banana"})
     with pytest.raises(ValidationError, match="^haar measure must not list atoms$"):
         measure_from_dict({"kind": "haar", "atoms": [{"theta": 0, "w": 1}]})
+    # locations and weights are JSON numbers, not booleans or numeric strings
+    for kind, atom in (
+        ("real-atomic", {"x": True, "w": 1}),
+        ("real-atomic", {"x": 0, "w": "1"}),
+        ("circle-atomic", {"theta": "0.5", "w": 1}),
+    ):
+        with pytest.raises(ValidationError, match="^malformed atom entry: .* must be a number"):
+            measure_from_dict({"kind": kind, "atoms": [atom]})

@@ -19,6 +19,7 @@ from freebrown.multiplicative import (
     multiplicative_profile,
     phi_of_theta,
     r_t,
+    radius_cdf,
     total_mass,
 )
 from freebrown.quadrature import integrate_adaptive
@@ -426,6 +427,21 @@ def test_annulus_check(t):
     assert annulus_radial_cdf(t, 1.0) == pytest.approx(0.5, abs=1e-15)
     assert annulus_radial_cdf(t, np.exp(t / 2.0)) == pytest.approx(1.0)
     assert annulus_radial_cdf(t, np.exp(-t / 2.0)) == pytest.approx(0.0)
+
+
+def test_k_fold_measure_reaches_the_annulus():
+    """K atoms at alpha_0 + 2 pi j/K with weight 1/K: averaging the Poisson
+    kernel over the K shifts keeps only its Fourier modes that are multiples
+    of K, so r_t, w_t and the radius CDF sit O(e^{-Kt/2}) from the Haar
+    annulus. This runs the general root solve and rows, which the Haar
+    measure short-circuits."""
+    k, t = 200, 1.0
+    mu = SpectralMeasure.circle_atomic(0.3 + 2.0 * np.pi * np.arange(k) / k, np.full(k, 1.0 / k))
+    prof = multiplicative_profile(mu, t, 1441)
+    assert np.max(np.abs(prof.r - np.exp(-0.5 * t))) <= 1e-12
+    assert np.max(np.abs(prof.w - 1.0 / (2.0 * np.pi * t))) <= 1e-12
+    radii = np.linspace(np.exp(-0.5 * t), np.exp(0.5 * t), 33)
+    assert np.max(np.abs(radius_cdf(prof, radii) - (0.5 + np.log(radii) / t))) <= 1e-12
 
 
 def test_annulus_nonpositive_time():

@@ -12,11 +12,12 @@ from freebrown.additive import additive_profile
 from freebrown.cli import write_rows
 from freebrown.errors import NumericalError, ValidationError
 from freebrown.measures import SpectralMeasure
-from freebrown.multiplicative import multiplicative_profile
+from freebrown.multiplicative import multiplicative_profile, radius_cdf
 from freebrown.rmt import (
     THETA_12,
     TAYLOR_TARGET,
     _T12,
+    EmpiricalSpectrum,
     _eigvals,
     additive_matrix,
     allocate_atom_counts,
@@ -414,15 +415,14 @@ def test_compare_haar_argument(haar_mult_spectrum_500):
 
 def _whole_table_radius_cdf(profile, radii):
     """The radius CDF as one (radii x angles) table, the reference for the
-    blocked ``_radius_cdf``."""
+    blocked ``radius_cdf``: on the periodic angle grid the closed trapezoid
+    is (2 pi/n) times the sum over the angles."""
     hit = profile.r < 1.0
     rt = profile.r[hit]
     gain = np.clip(
         np.log(np.minimum(radii[:, None], 1.0 / rt[None, :])) - np.log(rt[None, :]), 0.0, None
     )
-    full = np.zeros((len(radii), len(profile.thetas)))
-    full[:, hit] = profile.w[hit][None, :] * gain
-    return np.trapezoid(full, profile.thetas, axis=1)
+    return (gain * profile.w[hit]).sum(axis=1) * (2.0 * np.pi / len(profile.thetas))
 
 
 @pytest.mark.parametrize("which", ["haar", "asym"])
@@ -431,7 +431,24 @@ def test_radius_cdf_blocks_match_whole_table(which, haar_measure, asym_circle_me
     prof = multiplicative_profile(mu, t, 1441)
     r_in = float(np.min(prof.r))
     radii = np.linspace(0.97 * r_in, 1.03 / r_in, 800)
-    assert np.array_equal(rmt._radius_cdf(prof, radii), _whole_table_radius_cdf(prof, radii))
+    assert np.array_equal(radius_cdf(prof, radii), _whole_table_radius_cdf(prof, radii))
+
+
+def test_marginals_integrate_over_the_closed_angle_grid(haar_measure):
+    """The angle grid (-pi, pi] is periodic, so neither marginal may drop its
+    first step [-pi, -pi + 2 pi/n]: the Haar radius CDF reaches 1 past the
+    annulus, and a spectrum spread evenly over 16 equal arcs matches the
+    uniform argument law at 16 angles to rounding."""
+    t = 1.0
+    past = np.exp(0.5 * t) * np.array([1.0, 1.5, 3.0])
+    for n_theta in (16, 1441):
+        prof = multiplicative_profile(haar_measure, t, n_theta)
+        assert np.max(np.abs(radius_cdf(prof, past) - 1.0)) <= 1e-12
+    n = 4000
+    even = np.exp(1j * (-np.pi + 2.0 * np.pi * (np.arange(n) + 0.5) / n))
+    spectrum = EmpiricalSpectrum(even, n, t, "multiplicative", 0, 100)
+    prof = multiplicative_profile(haar_measure, t, 16)
+    assert compare_marginal(spectrum, prof, "argument").distance <= 1e-12
 
 
 def test_compare_mismatches(additive_delta0_spectrum_1000):
