@@ -16,7 +16,7 @@ import pathlib
 import numpy as np
 
 from freebrown.cli import DEFAULT_N_THETA, write_rows
-from freebrown.measures import SpectralMeasure
+from freebrown.measures import SpectralMeasure, reflect_circle_measure
 from freebrown.multiplicative import multiplicative_profile, phi_of_theta_array
 from freebrown.rmt import sample_multiplicative
 
@@ -55,7 +55,7 @@ def main():
     )
 
     # push the eigenvalue arguments through the boundary angle map
-    phis = phi_of_theta_array(prof.measure_bar, args.t, np.angle(eig))
+    phis = phi_of_theta_array(reflect_circle_measure(mu), args.t, np.angle(eig))
     write_rows(out / "pushforward_arg.csv", ["phi"], [phis])
 
     hit = prof.r < 1.0

@@ -101,8 +101,9 @@ def _rows(mu, t, a, what="v_t"):
     v, w, psi = np.zeros_like(a), np.zeros_like(a), np.empty_like(a)
     for sl in blocks(len(a), len(mu.locations)):
         d = a[sl, None] - x
-        d2 = d * d
-        with np.errstate(divide="ignore", over="ignore"):  # +inf at an atom
+        # +inf at an atom, and d2 = +inf (outside) past |d| ~ 1e154
+        with np.errstate(divide="ignore", over="ignore"):
+            d2 = d * d
             inv = wj / d2
         inside = inv.sum(axis=1) > target
         vb, wb, psib, ab, out = v[sl], w[sl], psi[sl], a[sl], ~inside
@@ -149,15 +150,6 @@ def density_w_array(mu, t, a):
 def density_w(mu: SpectralMeasure, t: float, a: float) -> float:
     """Planar Brown density at real coordinate a (0 outside the strip)."""
     return float(_rows(mu, t, [a], "density_w")[1][0])
-
-
-def additive_law_density(mu: SpectralMeasure, t: float, a: float):
-    """Point (psi_t(a), v_t(a)/(pi t)) on the graph of the law of the
-    semicircular flow; only defined where v_t(a) > 0."""
-    v, _, psi = (float(z[0]) for z in _rows(mu, t, [a], "additive_law_density"))
-    if v <= 0.0:
-        raise ValidationError(f"v_t({a}) = 0: no push-forward density there")
-    return psi, v / (np.pi * t)
 
 
 # -- profiles ----------------------------------------------------------------

@@ -237,11 +237,6 @@ def _row_at(mu_bar, t, theta, what):
     return r, phi, w, m
 
 
-def m_t(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
-    """m_t(theta) = 2 sum_j w_j r sin u_j / D_j at r = r_t(theta)."""
-    return _row_at(mu_bar, t, theta, "m_t")[3]
-
-
 def phi_of_theta(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
     """Continuous boundary angle phi(theta) = theta + (t/2) m_t(theta)."""
     return _row_at(mu_bar, t, theta, "phi_of_theta")[1]
@@ -263,11 +258,12 @@ class MultiplicativeProfile:
     angle grid) within (-pi, pi]: a component crossing the cut at +-pi shows
     up as two arcs, the full circle (e.g. Haar) as the single arc (-pi, pi).
     Rows with r = 1 sit outside U_t: w and arg_density are 0 there and phi
-    holds the boundary continuation of the angle map.
+    holds the boundary continuation of the angle map. ``measure`` is the
+    unitary's own measure; the rows integrate against its reflection,
+    ``reflect_circle_measure(measure)``, which the measure caches.
     """
 
     measure: SpectralMeasure
-    measure_bar: SpectralMeasure
     t: float
     thetas: np.ndarray
     r: np.ndarray
@@ -287,16 +283,15 @@ def multiplicative_profile(mu: SpectralMeasure, t: float, n_theta: int) -> Multi
     _check_time(t)
     if n_theta < 16:
         raise ValidationError("n_theta must be >= 16")
-    mu_bar = reflect_circle_measure(mu)
     thetas = np.linspace(-np.pi, np.pi, n_theta + 1)[1:]
 
-    r, phi, w, _ = _rows(mu_bar, t, thetas)
+    r, phi, w, _ = _rows(reflect_circle_measure(mu), t, thetas)
     return MultiplicativeProfile(
-        mu, mu_bar, t, thetas, r, phi, w, _arg_density(r, w), _u_components(mu, mu_bar, t)
+        mu, t, thetas, r, phi, w, _arg_density(r, w), _u_components(mu, t)
     )
 
 
-def _u_components(mu, mu_bar, t):
+def _u_components(mu, t):
     """Arcs of U_t = {f(1-, theta) > 1/t} in (-pi, pi]: the outside arc of
     each kept gap between atom angles comes from the slope
     sum_j w_j cos(h_j)/sin(h_j)^3, h_j = (theta - alpha_j)/2. The last gap
@@ -305,7 +300,7 @@ def _u_components(mu, mu_bar, t):
     every end is refined in (-pi, pi]."""
     if mu.is_haar:
         return ((-np.pi, np.pi),)
-    alpha, level = mu.locations, 1.0 / t
+    mu_bar, alpha, level = reflect_circle_measure(mu), mu.locations, 1.0 / t
     right = np.append(alpha[1:], alpha[0] + 2.0 * np.pi)
 
     def indicator(th):  # th - 2 pi is exact for th in [pi, 4 pi]
@@ -343,9 +338,7 @@ def mult_law_density(mu: SpectralMeasure, t: float, theta: float):
 
 def total_mass(profile: MultiplicativeProfile) -> float:
     """int -2 log(r_t) w_t dtheta over the arcs (equals int p_t dphi; 1)."""
-    mu_bar, t = profile.measure_bar, profile.t
-    if mu_bar.is_haar:
-        return 1.0  # -2 log(e^{-t/2}) * 1/(2 pi t) * 2 pi exactly
+    mu_bar, t = reflect_circle_measure(profile.measure), profile.t
 
     def f(th):
         r, _, w, _ = _rows(mu_bar, t, th)

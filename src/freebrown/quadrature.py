@@ -6,8 +6,8 @@ endpoints, so the integrand is first pushed through the substitution
 ``s`` on [-1, 1]. There Clenshaw-Curtis on the nodes cos(pi k/n) converges
 geometrically, and doubling n reuses every node. Each estimate comes from one
 FFT of the even extension of the values (Waldvogel, BIT 46, 2006). Each
-interval doubles until its successive estimates agree to the requested
-relative tolerance; all intervals still refining share one integrand call.
+interval doubles until its successive estimates agree to REL_TOL relative;
+all intervals still refining share one integrand call.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .errors import NumericalError, ValidationError
 MAX_DOUBLINGS = 18
 #: n of the first estimate, on the n + 1 nodes cos(pi k/n)
 INITIAL_NODES = 16
+#: relative tolerance of the per-interval convergence test
+REL_TOL = 1e-8
 #: absolute floor of the per-interval convergence test
 ABS_FLOOR = 1e-12
 
@@ -35,21 +37,19 @@ def _clenshaw_curtis(vals):
     return (c * (2.0 / (1.0 - j * j))).sum(axis=-1)
 
 
-def integrate_adaptive(f, lo, hi, rel_tol: float = 1e-8):
-    """Integrate a vectorized (possibly vector-valued) integrand over [lo, hi].
+def integrate_adaptive(f, lo, hi):
+    """Integrate a vectorized (possibly vector-valued) integrand over each
+    interval [lo_i, hi_i].
 
     ``f`` maps a 1-d array of abscissas to an array of shape ``(n,)`` or
-    ``(n, m)``. ``lo`` and ``hi`` are scalars or arrays of interval ends;
-    array ends give a leading interval axis to the result, and no intervals
-    give an empty one. Each interval refines until all its components meet
-    ``|Q_k - Q_{k-1}| <= max(rel_tol * |Q_k|, ABS_FLOOR)``, with the floor
-    fixed at 1e-12.
+    ``(n, m)``. ``lo`` and ``hi`` are 1-d arrays of interval ends; the
+    result has a leading interval axis, empty when there are no intervals.
+    Each interval refines until all its components meet
+    ``|Q_k - Q_{k-1}| <= max(REL_TOL * |Q_k|, ABS_FLOOR)``.
 
     Raises NumericalError after MAX_DOUBLINGS refinements.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    scalar = lo.ndim == 0
-    lo, hi = lo.reshape(-1), hi.reshape(-1)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if np.any(hi <= lo):
         raise ValidationError("empty or inverted integration interval")
     mid = 0.5 * (lo + hi)
@@ -76,7 +76,7 @@ def integrate_adaptive(f, lo, hi, rel_tol: float = 1e-8):
         merged[..., 0::2] = vals
         merged[..., 1::2] = substituted(rows, np.cos(np.pi * np.arange(1, n, 2) / n))
         est = _clenshaw_curtis(merged)
-        ok = np.abs(est - prev) <= np.maximum(rel_tol * np.abs(est), ABS_FLOOR)
+        ok = np.abs(est - prev) <= np.maximum(REL_TOL * np.abs(est), ABS_FLOOR)
         done = ok.all(axis=tuple(range(1, ok.ndim)))
         out[rows[done]] = est[done]
         rows, vals, prev = rows[~done], merged[~done], est[~done]
@@ -84,4 +84,4 @@ def integrate_adaptive(f, lo, hi, rel_tol: float = 1e-8):
         raise NumericalError(
             f"no convergence on [{lo[rows[0]]}, {hi[rows[0]]}] after {MAX_DOUBLINGS} doublings"
         )
-    return out[0] if scalar else out
+    return out

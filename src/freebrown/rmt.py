@@ -161,6 +161,8 @@ def additive_matrix(mu: SpectralMeasure, n: int, t: float, seed: int) -> np.ndar
     if n < 2:
         raise ValidationError("n must be >= 2")
     check_time(t)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     counts = allocate_atom_counts(mu.weights, n)
     diag = np.repeat(mu.locations, counts).astype(complex)
@@ -198,6 +200,8 @@ def multiplicative_flow(mu: SpectralMeasure, n: int, t: float, steps: int, seed:
     if steps < 100:
         raise ValidationError("steps must be >= 100")
     check_time(t)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if mu.is_haar:
         u = haar_unitary(n, rng)

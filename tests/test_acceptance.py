@@ -120,7 +120,7 @@ def test_criterion_5_multiplicative():
     assert np.all(dphi <= 2.0 + 1e-9)
     assert np.max(prof.w) <= 1.0 / (np.pi * t) + 1e-9
     assert mult_total_mass(prof) == pytest.approx(1.0, abs=1e-6)
-    mu_bar = prof.measure_bar
+    mu_bar = reflect_circle_measure(ASYM)
     mods = np.array(
         [
             abs(phi_map(mu_bar, t, rr * np.exp(1j * th)))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freebrown.additive import (
-    additive_law_density,
     additive_profile,
     density_w,
     density_w_array,
@@ -139,24 +138,35 @@ def test_density_fd_cross_check():
         )
 
 
+def _law_point(mu, t, a):
+    """(psi_t(a), v_t(a)/(pi t)): the law's density at psi_t(a)."""
+    return psi_t(mu, t, a), v_t(mu, t, a) / (np.pi * t)
+
+
 def test_law_density_examples():
-    y, p = additive_law_density(D0, 1.0, 0.0)
+    y, p = _law_point(D0, 1.0, 0.0)
     assert (y, p) == (pytest.approx(0.0), pytest.approx(1.0 / np.pi))
-    y, p = additive_law_density(D0, 1.0, 0.6)
+    y, p = _law_point(D0, 1.0, 0.6)
     assert y == pytest.approx(1.2)
     assert p == pytest.approx(0.8 / np.pi)
     # semicircle closed form sqrt(4t - y^2)/(2 pi t) as independent route
     assert p == pytest.approx(np.sqrt(4.0 - 1.2**2) / (2.0 * np.pi))
-    y, p = additive_law_density(BERN, 2.0, 0.0)
+    y, p = _law_point(BERN, 2.0, 0.0)
     assert (y, p) == (pytest.approx(0.0, abs=1e-12), pytest.approx(1 / (2 * np.pi)))
 
 
-def test_law_outside_support():
-    with pytest.raises(ValidationError, match=r"^v_t\(3\.0\) = 0: no push-forward density there$"):
-        additive_law_density(D0, 1.0, 3.0)
-
-
 # -- profile ------------------------------------------------------------------------
+
+
+def test_profile_on_a_huge_grid():
+    """Past |a| ~ 1e154 the squared distance overflows to +inf, which reads
+    as outside the strip, without a RuntimeWarning (an error in this suite):
+    v and w are 0 there and psi_t(a) = a."""
+    grid = np.linspace(-1e307, 1e307, 100)
+    prof = additive_profile(D0, 1.0, grid)
+    assert not prof.v.any() and not prof.w.any()
+    assert np.array_equal(prof.psi, grid)
+    assert np.allclose(prof.support_intervals, [(-1.0, 1.0)], atol=1e-12)
 
 
 def test_profile_disk_support():

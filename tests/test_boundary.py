@@ -177,14 +177,12 @@ ADDITIVE_ROWS = [
     additive.psi_t_array,
     additive.density_w,
     additive.density_w_array,
-    additive.additive_law_density,
 ]
 MULTIPLICATIVE_ROWS = [
     multiplicative.r_t,
     multiplicative.r_t_array,
     multiplicative.phi_of_theta,
     multiplicative.phi_of_theta_array,
-    multiplicative.m_t,
     multiplicative.density_w_theta,
     multiplicative.mult_law_density,
 ]
@@ -315,7 +313,7 @@ def test_ends_are_the_first_float_outside(line, circle, t):
     _first_outside(intervals, lambda a: additive._sum_inv_sq(mu, a) > level)
     mu = SpectralMeasure.circle_atomic(circle[0], _weights(circle[1]))
     mu_bar = reflect_circle_measure(mu)
-    arcs = multiplicative._u_components(mu, mu_bar, t)
+    arcs = multiplicative._u_components(mu, t)
     in_u = lambda th: multiplicative.f_limit_at_circle(mu_bar, th) > level  # noqa: E731
     _first_outside(arcs, in_u, (-np.pi, np.pi))
 
@@ -427,7 +425,7 @@ def test_r_newton_evaluations(monkeypatch):
     mu = _clustered(1)
     prof = multiplicative_profile(mu, 0.25, 1440)
     per_solve, passes = _counting(monkeypatch, multiplicative)
-    r_t_array(prof.measure_bar, 0.25, np.linspace(-np.pi, np.pi, 1441))
+    r_t_array(reflect_circle_measure(mu), 0.25, np.linspace(-np.pi, np.pi, 1441))
     assert len(per_solve) == 12 and max(per_solve) <= 6
     assert passes[0] == sum(per_solve)
     del per_solve[:]
@@ -465,5 +463,5 @@ def test_components_take_few_indicator_calls(monkeypatch, flow, indicator, t):
         assert len(np.transpose(additive._components(mu, t))) == 8
     else:
         mu = _clustered(1)
-        assert len(multiplicative._u_components(mu, reflect_circle_measure(mu), t)) == 8
+        assert len(multiplicative._u_components(mu, t)) == 8
     assert calls[0] <= 20

@@ -185,6 +185,33 @@ def test_grid_bounds_must_be_finite(tmp_path, capsys, grid):
     assert "finite" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
+@pytest.mark.parametrize("sub", ["density", "law"])
+def test_huge_grid_leaves_stderr_empty(tmp_path, capsys, sub):
+    """Past |a| ~ 1e154 the squared distances to the atoms overflow to
+    +inf, which reads as outside the strip: no RuntimeWarning (the suite
+    turns them into errors) and nothing on stderr."""
+    mpath = write_measure(tmp_path, DELTA0, "d0.json")
+    argv = ["additive", sub, "--measure", mpath, "--t", "1", "--grid=-1e307:1e307:100",
+            "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("flow,doc,extra", [
+    ("additive", DELTA0, []),
+    ("mult", HAAR, ["--steps", "100"]),
+], ids=["additive", "mult"])
+def test_negative_seed_exit_code(tmp_path, capsys, flow, doc, extra):
+    """numpy refuses a negative seed with a bare ValueError; the CLI turns it
+    away first, as a ValidationError (exit 2) with one JSON error."""
+    mpath = write_measure(tmp_path, doc, "m.json")
+    argv = ["simulate", flow, "--measure", mpath, "--t", "1", "--n", "4", *extra,
+            "--seed", "-1", "--out", str(tmp_path / "neg.csv")]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err.strip()) == {"error": "seed must be >= 0, got -1"}
+    assert not (tmp_path / "neg.csv").exists()
+
+
 def test_missing_measure_exit_code(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = main(
@@ -271,6 +298,18 @@ def test_mass_gate_exit_code(tmp_path, capsys):
     assert "past the grid" in err
     assert main(argv + [str(tmp_path / "full.csv")]) == 0
     assert "mass=1.000000" in capsys.readouterr().out
+
+
+def test_haar_mass_gate_at_tiny_time(tmp_path, capsys):
+    """At t = 1e-17, e^{-t/2} rounds to 1: every Haar row has r = 1 and
+    arg_density 0. The mass integrates those rows, as for any measure, so
+    it reads 0 and the gate exits 3 instead of passing rows with no mass."""
+    mpath = write_measure(tmp_path, HAAR, "h.json")
+    argv = ["mult", "density", "--measure", mpath, "--t", "1e-17",
+            "--out", str(tmp_path / "tiny.csv")]
+    assert main(argv) == 3
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err.startswith("mass=0.000000000 ")
 
 
 def test_mass_gate_grid_misses_support(tmp_path, capsys):

@@ -13,11 +13,10 @@ Bounds:
   its own slope times it: RESIDUAL |A|/B for psi_t, RESIDUAL |m_x|/(2 |f_x|)
   for phi, slopes of the reference at its root. SLACK, relative to the
   size of the map's terms, covers the rounding of the float sums.
-* The scalar law rows and m_t, one call per point: ``additive_law_density``
-  within the psi_t bound and v/(pi t) within the v_t^2 window over
-  2 v pi t; ``mult_law_density`` within the phi bound and -log r/(pi t)
-  within the -log r_t window over pi t; m_t within RESIDUAL |m_x|/(t |f_x|),
-  with SLACK relative to the size of its terms.
+* ``mult_law_density``, one call per point, within the phi bound and
+  -log r/(pi t) within the -log r_t window over pi t; the rows' m column
+  within RESIDUAL |m_x|/(t |f_x|), with SLACK relative to the size of its
+  terms.
 * w_t: a share of max|w|. On the circle the rows divide by the slope
   d ln f/du, whose first term 2/p - coth(x/2)/x cancels from about 2/x^2
   to -1/3 as x -> 0. The share admits a slope error of 1e4 RESIDUAL, and
@@ -81,11 +80,10 @@ def check_line(mu, t, offsets=OFFSETS, n_random=4, limit=None):
     rng = np.random.default_rng(0)
     pts = _probes(prof.support_intervals, (-half, half), offsets, n_random, rng)[:limit]
     v, w, psi = additive._rows(mu, t, pts)
-    law = [additive.additive_law_density(mu, t, a) for a in pts]
     w_bound = W_SHARE["line"] * float(np.max(prof.w))
-    ref, worst = Additive(mu, t), {"s": 0.0, "w": 0.0, "psi": 0.0, "law": 0.0}
+    ref, worst = Additive(mu, t), {"s": 0.0, "w": 0.0, "psi": 0.0}
     with mp.workdps(DPS):
-        for a, v_f, w_f, psi_f, (law_psi, law_p) in zip(pts, v, w, psi, law):
+        for a, v_f, w_f, psi_f in zip(pts, v, w, psi):
             tab = ref.table(a)
             s = ref.s(tab)
             assert s > 0 and v_f > 0
@@ -98,16 +96,7 @@ def check_line(mu, t, offsets=OFFSETS, n_random=4, limit=None):
             psi_bound = RHO * abs(A) / B + SLACK * terms
             worst["s"] = max(worst["s"], float(abs(mp.mpf(v_f) ** 2 - s) / s_bound))
             worst["w"] = max(worst["w"], abs(float(ref.density(a)) - w_f) / w_bound)
-            psi_ref = ref.psi(a)
-            worst["psi"] = max(worst["psi"], float(abs(psi_ref - psi_f) / psi_bound))
-            # the law's density v/(pi t) moves by ds/(2 v pi t)
-            v_ref = mp.sqrt(s)
-            p_bound = (s_bound / (2 * v_ref) + SLACK * v_ref) / (mp.pi * ref.t)
-            worst["law"] = max(
-                worst["law"],
-                float(abs(psi_ref - law_psi) / psi_bound),
-                float(abs(v_ref / (mp.pi * ref.t) - law_p) / p_bound),
-            )
+            worst["psi"] = max(worst["psi"], float(abs(ref.psi(a) - psi_f) / psi_bound))
     return worst
 
 
@@ -153,9 +142,8 @@ def check_circle(mu, t, offsets=OFFSETS, n_random=4, limit=None):
     prof = multiplicative.multiplicative_profile(mu, t, 1440)
     rng = np.random.default_rng(0)
     pts = _probes(prof.u_components, (-np.pi, np.pi), offsets, n_random, rng)[:limit]
-    r, phi, w, _ = multiplicative._rows(mu_bar, t, pts)
+    r, phi, w, m = multiplicative._rows(mu_bar, t, pts)
     law = [multiplicative.mult_law_density(mu, t, th) for th in pts]
-    m = [multiplicative.m_t(mu_bar, t, th) for th in pts]
     w_bound = W_SHARE["circle"] * float(np.max(prof.w))
     ref = Multiplicative(mu_bar, t)
     worst = {"x": 0.0, "w": 0.0, "phi": 0.0, "law": 0.0, "m": 0.0}

@@ -7,21 +7,19 @@ from freebrown.quadrature import integrate_adaptive
 
 
 def test_smooth_integral():
-    val = integrate_adaptive(np.sin, 0.0, np.pi)
+    (val,) = integrate_adaptive(np.sin, [0.0], [np.pi])
     assert val == pytest.approx(2.0, abs=1e-10)
 
 
 def test_sqrt_endpoint_integral():
     # int_0^1 sqrt(x(1-x)) dx = pi/8; exactly the endpoint behavior of the
     # density integrands
-    val = integrate_adaptive(lambda x: np.sqrt(x * (1.0 - x)), 0.0, 1.0)
+    (val,) = integrate_adaptive(lambda x: np.sqrt(x * (1.0 - x)), [0.0], [1.0])
     assert val == pytest.approx(np.pi / 8.0, abs=1e-10)
 
 
 def test_vector_valued_integrand():
-    val = integrate_adaptive(
-        lambda x: np.stack([x, x * x], axis=1), 0.0, 1.0
-    )
+    (val,) = integrate_adaptive(lambda x: np.stack([x, x * x], axis=1), [0.0], [1.0])
     assert val[0] == pytest.approx(0.5, abs=1e-10)
     assert val[1] == pytest.approx(1.0 / 3.0, abs=1e-10)
 
@@ -32,7 +30,7 @@ def test_depth_cap_raises(monkeypatch):
     with pytest.raises(
         NumericalError, match=r"^no convergence on \[0\.0, 3\.14\d*\] after 1 doublings$"
     ):
-        integrate_adaptive(lambda x: np.abs(x - 1.0), 0.0, np.pi)
+        integrate_adaptive(lambda x: np.abs(x - 1.0), [0.0], [np.pi])
 
 
 @pytest.mark.parametrize(
@@ -45,7 +43,7 @@ def test_intervals_match_single_calls(f, monkeypatch):
     got = integrate_adaptive(f, lo, hi)
     assert got.shape == (4,) + np.shape(f(np.zeros(1)))[1:]
     for i in range(len(lo)):
-        assert np.array_equal(got[i], integrate_adaptive(f, lo[i], hi[i]))
+        assert np.array_equal(got[i], integrate_adaptive(f, lo[i : i + 1], hi[i : i + 1])[0])
     # one kinked interval among smooth ones still raises
     monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 2)
     with pytest.raises(
@@ -61,4 +59,4 @@ def test_no_intervals_integrate_to_nothing():
 
 def test_empty_interval_rejected():
     with pytest.raises(ValueError):
-        integrate_adaptive(np.sin, 1.0, 1.0)
+        integrate_adaptive(np.sin, [1.0], [1.0])
