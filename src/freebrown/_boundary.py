@@ -47,6 +47,13 @@ def finite_points(points, name):
     return pts
 
 
+def require_finite(what, t, *columns):
+    """NumericalError when a row column holds a NaN or an infinity, as at a
+    t so small or large that the row tables leave the floats."""
+    if not all(np.isfinite(c).all() for c in columns):
+        raise NumericalError(f"{what}: non-finite rows at t={t:g}")
+
+
 def blocks(n, atoms):
     """Consecutive slices of range(n), each of at most TABLE_ENTRIES // atoms
     points (at least one), so a block's table against ``atoms`` atoms stays

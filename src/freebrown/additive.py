@@ -45,6 +45,7 @@ from ._boundary import (
     finite_points,
     outside_gaps,
     refine_endpoints,
+    require_finite,
     solve,
 )
 from .errors import ValidationError
@@ -99,28 +100,30 @@ def _rows(mu, t, a, what="v_t"):
         return done, S > target, s + t * S * (S - target) / B, (inv, T, B)
 
     v, w, psi = np.zeros_like(a), np.zeros_like(a), np.empty_like(a)
-    for sl in blocks(len(a), len(mu.locations)):
-        d = a[sl, None] - x
-        # +inf at an atom, and d2 = +inf (outside) past |d| ~ 1e154
-        with np.errstate(divide="ignore", over="ignore"):
+    # +inf at an atom, d2 = +inf (outside) past |d| ~ 1e154, and at extreme t
+    # tables past the floats: the rows are checked once, after the loop
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for sl in blocks(len(a), len(mu.locations)):
+            d = a[sl, None] - x
             d2 = d * d
             inv = wj / d2
-        inside = inv.sum(axis=1) > target
-        vb, wb, psib, ab, out = v[sl], w[sl], psi[sl], a[sl], ~inside
-        psib[out] = ab[out] + t * (inv[out] * d[out]).sum(axis=1)
-        del inv  # each table is freed or reused once done with: fewer held at once
-        d2 = d2[inside]
-        s0 = np.maximum(0.0, np.max(t * wj - d2, axis=1))
-        s, (inv, T, B) = solve(s0, t, s0, partial(evaluate, d2=d2))
-        d = d[inside]
-        vb[inside] = np.sqrt(s)
-        psib[inside] = ab[inside] + t * np.multiply(inv, d, out=inv).sum(axis=1)
-        dv2 = -2.0 * np.multiply(T, d, out=inv).sum(axis=1) / B
-        d *= 2.0
-        d += dv2[:, None]
-        T *= x
-        T *= d  # w_j x_j (2 d_j + d(v^2)/da)/D_j^2, whose sum is -dI2/da
-        wb[inside] = (1.0 / (np.pi * t)) * (1.0 + 0.5 * t * T.sum(axis=1))
+            inside = inv.sum(axis=1) > target
+            vb, wb, psib, ab, out = v[sl], w[sl], psi[sl], a[sl], ~inside
+            psib[out] = ab[out] + t * (inv[out] * d[out]).sum(axis=1)
+            del inv  # each table is freed or reused once done with: fewer held at once
+            d2 = d2[inside]
+            s0 = np.maximum(0.0, np.max(t * wj - d2, axis=1))
+            s, (inv, T, B) = solve(s0, t, s0, partial(evaluate, d2=d2))
+            d = d[inside]
+            vb[inside] = np.sqrt(s)
+            psib[inside] = ab[inside] + t * np.multiply(inv, d, out=inv).sum(axis=1)
+            dv2 = -2.0 * np.multiply(T, d, out=inv).sum(axis=1) / B
+            d *= 2.0
+            d += dv2[:, None]
+            T *= x
+            T *= d  # w_j x_j (2 d_j + d(v^2)/da)/D_j^2, whose sum is -dI2/da
+            wb[inside] = (1.0 / (np.pi * t)) * (1.0 + 0.5 * t * T.sum(axis=1))
+    require_finite(what, t, w, psi)  # v^2 lies in the solve's bracket [s0, t]
     return v, w, psi
 
 

@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Subcommands: ``additive density|law``, ``mult density|law``,
-``simulate additive|mult``, ``compare``, ``check haar``. Every run writes a
-reproducibility manifest (full config + versions) next to its outputs, CSV
-floats are fixed at 17 significant digits so identical configs give
-byte-identical files, and a one-line summary (mass/bounds checks) goes to
-stdout. Validation problems exit 2, numerical failures exit 3, with a
-machine-readable ``{"error": ...}`` on stderr.
+``simulate additive|mult``, ``compare``, ``check haar``. The parsed
+arguments are the run's config: each command's parser names its driver.
+Every run with ``--out`` writes a reproducibility manifest next to its
+outputs (the command and its parser's options, defaults applied, plus
+versions), CSV floats are fixed at 17 significant digits so identical
+configs give byte-identical files, and a one-line summary (mass/bounds
+checks) goes to stdout. Validation problems exit 2, numerical failures
+(including non-finite rows) exit 3, with a machine-readable
+``{"error": ...}`` on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import math
 import platform
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 from functools import cache
 
 import numpy as np
@@ -32,29 +35,15 @@ DEFAULT_N_THETA = 1441
 MASS_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; serialized verbatim into the manifest."""
-
-    command: str
-    measure_path: str | None = None
-    t: float | None = None
-    grid: str | None = None
-    n_theta: int | None = None
-    n: int | None = None
-    steps: int | None = None
-    seed: int | None = None
-    out: str | None = None
-    spectrum: str | None = None
-    marginal: str | None = None
-
-    def validate(self):
-        if self.t is not None:
-            check_time(self.t)
-        if self.n_theta is not None and self.n_theta < 16:
-            raise ValidationError("n_theta must be >= 16")
-        if self.out is not None and not str(self.out):
-            raise ValidationError("output path must be nonempty")
+def _check_args(args):
+    """Checks on the parsed options, ahead of every driver: t among them,
+    since ``parse_grid`` reads it before the package checks it."""
+    if getattr(args, "t", None) is not None:
+        check_time(args.t)
+    if getattr(args, "n_theta", DEFAULT_N_THETA) < 16:
+        raise ValidationError("n_theta must be >= 16")
+    if args.out == "":
+        raise ValidationError("output path must be nonempty")
 
 
 def parse_grid(spec, mu, t):
@@ -89,11 +78,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_manifest(out, config: RunConfig):
+def _write_manifest(args):
+    """``command`` and the options of its own parser, defaults applied: the
+    namespace less the subparser dests and the driver."""
+    config = {k: v for k, v in vars(args).items() if k not in ("topcmd", "subcmd", "run")}
     _write_json(
-        f"{out}.manifest.json",
+        f"{args.out}.manifest.json",
         {
-            "config": asdict(config),
+            "config": config,
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
@@ -116,19 +108,19 @@ def write_rows(path, header, columns):
 # -- subcommand drivers --------------------------------------------------------
 
 
-def _run_additive(config: RunConfig):
-    mu = load_measure(config.measure_path)
-    mu.require_real(config.command)
-    grid = parse_grid(config.grid, mu, config.t)
-    profile = additive.additive_profile(mu, config.t, grid)
-    if config.command == "additive-density":
+def _run_additive(args):
+    mu = load_measure(args.measure_path)
+    mu.require_real(args.command)
+    grid = parse_grid(args.grid, mu, args.t)
+    profile = additive.additive_profile(mu, args.t, grid)
+    if args.command == "additive-density":
         mass = _checked_mass(additive.total_mass(profile))
         write_rows(
-            config.out, ["a", "v", "w", "psi"], [profile.grid, profile.v, profile.w, profile.psi]
+            args.out, ["a", "v", "w", "psi"], [profile.grid, profile.v, profile.w, profile.psi]
         )
-        _write_json(f"{config.out}.intervals.json", additive.support_sidecar(profile))
+        _write_json(f"{args.out}.intervals.json", additive.support_sidecar(profile))
         max_w = float(np.max(profile.w))
-        bound = 2.0 / (np.pi * config.t)
+        bound = 2.0 / (np.pi * args.t)
         print(
             f"additive-density: mass={mass:.9f} (target 1+-{MASS_TOL:g}) "
             f"max_w={max_w:.6g} bound={bound:.6g} "
@@ -137,93 +129,74 @@ def _run_additive(config: RunConfig):
     else:  # additive-law
         hit = profile.v > 0.0
         ys = profile.psi[hit]
-        ps = profile.v[hit] / (np.pi * config.t)
-        write_rows(config.out, ["a", "y", "p"], [profile.grid[hit], ys, ps])
+        ps = profile.v[hit] / (np.pi * args.t)
+        write_rows(args.out, ["a", "y", "p"], [profile.grid[hit], ys, ps])
         peak = float(np.max(ps)) if len(ps) else 0.0
         print(f"additive-law: points={int(hit.sum())} peak_density={peak:.6g}")
-    _write_manifest(config.out, config)
-    return 0
 
 
-def _run_mult(config: RunConfig):
-    mu = load_measure(config.measure_path)
-    mu.require_circle(config.command)
-    n_theta = config.n_theta or DEFAULT_N_THETA
-    profile = multiplicative.multiplicative_profile(mu, config.t, n_theta)
-    if config.command == "mult-density":
+def _run_mult(args):
+    mu = load_measure(args.measure_path)
+    mu.require_circle(args.command)
+    profile = multiplicative.multiplicative_profile(mu, args.t, args.n_theta)
+    if args.command == "mult-density":
         mass = _checked_mass(multiplicative.total_mass(profile))
         write_rows(
-            config.out, ["theta", "r", "phi", "w", "arg_density"],
+            args.out, ["theta", "r", "phi", "w", "arg_density"],
             [profile.thetas, profile.r, profile.phi, profile.w, profile.arg_density],
         )
-        _write_json(f"{config.out}.arcs.json", multiplicative.arcs_sidecar(profile))
+        _write_json(f"{args.out}.arcs.json", multiplicative.arcs_sidecar(profile))
         max_w = float(np.max(profile.w))
-        bound = 1.0 / (np.pi * config.t)
+        bound = 1.0 / (np.pi * args.t)
         print(
             f"mult-density: mass={mass:.9f} (target 1+-{MASS_TOL:g}) "
             f"max_w={max_w:.6g} bound={bound:.6g} arcs={len(profile.u_components)}"
         )
     else:  # mult-law
         hit = profile.r < 1.0
-        ps = -np.log(profile.r[hit]) / (np.pi * config.t)
-        write_rows(config.out, ["theta", "phi", "p"], [profile.thetas[hit], profile.phi[hit], ps])
+        ps = -np.log(profile.r[hit]) / (np.pi * args.t)
+        write_rows(args.out, ["theta", "phi", "p"], [profile.thetas[hit], profile.phi[hit], ps])
         print(f"mult-law: points={int(hit.sum())}")
-    _write_manifest(config.out, config)
-    return 0
 
 
-def _run_simulate(config: RunConfig):
-    mu = load_measure(config.measure_path)
-    if config.command == "simulate-additive":
-        spectrum = rmt.sample_additive(mu, config.n, config.t, config.seed)
+def _run_simulate(args):
+    mu = load_measure(args.measure_path)
+    if args.command == "simulate-additive":
+        spectrum = rmt.sample_additive(mu, args.n, args.t, args.seed)
     else:
-        spectrum = rmt.sample_multiplicative(
-            mu, config.n, config.t, config.steps, config.seed
-        )
+        spectrum = rmt.sample_multiplicative(mu, args.n, args.t, args.steps, args.seed)
     eig = spectrum.eigenvalues
-    write_rows(config.out, ["re", "im"], [eig.real, eig.imag])
-    _write_json(f"{config.out}.meta.json", rmt.spectrum_metadata(spectrum))
-    _write_manifest(config.out, config)
+    write_rows(args.out, ["re", "im"], [eig.real, eig.imag])
+    _write_json(f"{args.out}.meta.json", rmt.spectrum_metadata(spectrum))
     mean = spectrum.eigenvalues.mean()
-    print(
-        f"{config.command}: n={spectrum.n} mean={mean.real:.6g}{mean.imag:+.6g}i"
-    )
-    return 0
+    print(f"{args.command}: n={spectrum.n} mean={mean.real:.6g}{mean.imag:+.6g}i")
 
 
-def _run_compare(config: RunConfig):
-    mu = load_measure(config.measure_path)
-    with open(f"{config.spectrum}.meta.json", "r", encoding="utf-8") as fh:
+def _run_compare(args):
+    mu = load_measure(args.measure_path)
+    with open(f"{args.spectrum}.meta.json", "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    spectrum = rmt.load_spectrum(config.spectrum, meta)
+    spectrum = rmt.load_spectrum(args.spectrum, meta)
     if spectrum.model == rmt.ADDITIVE:
         mu.require_real("compare")
-        grid = parse_grid(config.grid, mu, spectrum.t)
+        grid = parse_grid(args.grid, mu, spectrum.t)
         profile = additive.additive_profile(mu, spectrum.t, grid)
     else:
-        profile = multiplicative.multiplicative_profile(
-            mu, spectrum.t, config.n_theta or DEFAULT_N_THETA
-        )
-    report = rmt.compare_marginal(spectrum, profile, config.marginal)
-    payload = asdict(report)
-    if config.out:
-        _write_json(config.out, payload)
-        _write_manifest(config.out, config)
+        profile = multiplicative.multiplicative_profile(mu, spectrum.t, args.n_theta)
+    report = rmt.compare_marginal(spectrum, profile, args.marginal)
+    if args.out:
+        _write_json(args.out, asdict(report))
     print(
         f"compare: model={report.model} marginal={report.marginal} "
         f"distance={report.distance:.6f} bins={report.bins}"
     )
-    return 0
 
 
-def _run_check_haar(config: RunConfig):
-    check = multiplicative.haar_annulus_check(config.t)
-    payload = {k: np.asarray(v).tolist() for k, v in asdict(check).items()}
-    if config.out:
-        _write_json(config.out, payload)
-        _write_manifest(config.out, config)
-    print(f"check-haar: t={config.t} max_discrepancy={check.max_discrepancy:.3e}")
-    return 0
+def _run_check_haar(args):
+    check = multiplicative.haar_annulus_check(args.t)
+    if args.out:
+        _write_json(args.out, {k: np.asarray(v).tolist() for k, v in asdict(check).items()})
+    print(f"check-haar: t={args.t} max_discrepancy={check.max_discrepancy:.3e}")
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -232,7 +205,9 @@ def _run_check_haar(config: RunConfig):
 @cache
 def _build_parser():
     """The argument parser, built on first use and shared by every later
-    ``main`` call in the process (parsing leaves it unchanged)."""
+    ``main`` call in the process (parsing leaves it unchanged). It is the one
+    list of options, defaults and drivers: each command's parser sets its
+    ``command`` name and ``run`` driver."""
     p = argparse.ArgumentParser(
         prog="freebrown",
         description="Brown measures of free Brownian motions: densities, "
@@ -250,6 +225,7 @@ def _build_parser():
     sadd = padd.add_subparsers(dest="subcmd", required=True)
     for name in ("density", "law"):
         sp = sadd.add_parser(name)
+        sp.set_defaults(command=f"additive-{name}", run=_run_additive)
         add_common(sp)
         sp.add_argument("--grid", help="lo:hi:n (default +-(max|x|+2 sqrt(t)):801)")
 
@@ -257,13 +233,16 @@ def _build_parser():
     smul = pmul.add_subparsers(dest="subcmd", required=True)
     for name in ("density", "law"):
         sp = smul.add_parser(name)
+        sp.set_defaults(command=f"mult-{name}", run=_run_mult)
         add_common(sp)
-        sp.add_argument("--n-theta", type=int, help=f"angle count (default {DEFAULT_N_THETA})")
+        sp.add_argument("--n-theta", type=int, default=DEFAULT_N_THETA,
+                        help=f"angle count (default {DEFAULT_N_THETA})")
 
     psim = sub.add_parser("simulate", help="finite-N random-matrix sampling")
     ssim = psim.add_subparsers(dest="subcmd", required=True)
     for name in ("additive", "mult"):
         sp = ssim.add_parser(name)
+        sp.set_defaults(command=f"simulate-{name}", run=_run_simulate)
         add_common(sp)
         sp.add_argument("--n", type=int, required=True, help="matrix size >= 2")
         sp.add_argument("--seed", type=int, required=True)
@@ -271,40 +250,22 @@ def _build_parser():
             sp.add_argument("--steps", type=int, required=True, help="Euler steps >= 100")
 
     pcmp = sub.add_parser("compare", help="empirical vs computed marginal CDF")
+    pcmp.set_defaults(command="compare", run=_run_compare)
     pcmp.add_argument("--spectrum", required=True, help="eigenvalue CSV from simulate")
     pcmp.add_argument("--measure", dest="measure_path", metavar="MEASURE", required=True)
     pcmp.add_argument("--marginal", required=True, choices=[rmt.REAL_PART, rmt.ARGUMENT, rmt.RADIUS])
     pcmp.add_argument("--grid", help="additive grid lo:hi:n")
-    pcmp.add_argument("--n-theta", type=int)
+    pcmp.add_argument("--n-theta", type=int, default=DEFAULT_N_THETA)
     pcmp.add_argument("--out", help="report JSON path")
 
     pchk = sub.add_parser("check", help="closed-form cross-checks")
     schk = pchk.add_subparsers(dest="subcmd", required=True)
     sp = schk.add_parser("haar")
+    sp.set_defaults(command="check-haar", run=_run_check_haar)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--out", help="report JSON path")
 
     return p
-
-
-def _config_from_args(args) -> RunConfig:
-    sub = getattr(args, "subcmd", None)
-    return RunConfig(
-        command=f"{args.topcmd}-{sub}" if sub else args.topcmd,
-        **{f.name: getattr(args, f.name, None) for f in fields(RunConfig) if f.name != "command"},
-    )
-
-
-_DRIVERS = {
-    "additive-density": _run_additive,
-    "additive-law": _run_additive,
-    "mult-density": _run_mult,
-    "mult-law": _run_mult,
-    "simulate-additive": _run_simulate,
-    "simulate-mult": _run_simulate,
-    "compare": _run_compare,
-    "check-haar": _run_check_haar,
-}
 
 
 def _merge_dash_values(argv):
@@ -323,16 +284,18 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_merge_dash_values(list(argv)))
-    config = _config_from_args(args)
     try:
-        config.validate()
-        return _DRIVERS[config.command](config)
+        _check_args(args)
+        args.run(args)
+        if args.out:
+            _write_manifest(args)
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

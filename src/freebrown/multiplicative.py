@@ -59,6 +59,7 @@ from ._boundary import (
     finite_points,
     outside_gaps,
     refine_endpoints,
+    require_finite,
     solve,
 )
 from .errors import ValidationError
@@ -184,37 +185,41 @@ def _rows(mu_bar, t, thetas, what="r_t"):
         return done, f > target, u + (1.0 - t * f) / slope, (p, x, *tables, slope)
 
     r, m, w = np.ones_like(th), np.empty_like(th), np.zeros_like(th)
-    for sl in blocks(len(th), len(mu_bar.locations)):
-        ht = 0.5 * th[sl, None]
-        su = ht + half  # h, sin h, then sin u = 2 sin h cos h, in place
-        np.sin(su, out=su)
-        q4 = su * su
-        q4 *= 4.0
-        ch = 2.0 * np.cos(ht) * cb
-        ch -= 2.0 * np.sin(ht) * sb
-        su *= ch
-        with np.errstate(divide="ignore"):  # +inf at an atom
+    # +inf at an atom, and at extreme t tables past the floats: the rows
+    # are checked once, after the loop
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for sl in blocks(len(th), len(mu_bar.locations)):
+            ht = 0.5 * th[sl, None]
+            su = ht + half  # h, sin h, then sin u = 2 sin h cos h, in place
+            np.sin(su, out=su)
+            q4 = su * su
+            q4 *= 4.0
+            ch = 2.0 * np.cos(ht) * cb
+            ch -= 2.0 * np.sin(ht) * sb
+            su *= ch
             inv = np.divide(wj, q4, out=ch)
-        inside = inv.sum(axis=1) > target
-        rb, mb, wb, out = r[sl], m[sl], w[sl], ~inside
-        mb[out] = 2.0 * (inv[out] * su[out]).sum(axis=1)
-        del ch, inv  # as in the additive, each table is freed once done with
-        q4 = q4[inside]
-        p0 = np.maximum(0.0, np.max(tw - q4, axis=1))
-        _, (p, x, iota, kappa, S_i, S_k, slope) = solve(
-            0.0, u_hi, np.log1p(0.25 * p0), partial(evaluate, q4=q4)
-        )
-        su = su[inside]
-        a = 1.0 / (4.0 + p)
-        mb[inside] = 2.0 * a * np.multiply(iota, su, out=iota).sum(axis=1)
-        # S_E = sum_j w_j (4 + p) sin u_j/(p + q4_j)^2 = -S_iota (d ln f/dtheta)/2
-        S_E = a * np.multiply(kappa, su, out=kappa).sum(axis=1)
-        du = 2.0 * S_E / (S_i * slope)
-        # dm/dtheta = 2 sum_j w_j (p cos u_j - q4_j)/(p + q4_j)^2 - 2 S_E du/dtheta,
-        # whose sum is (p S_kappa - (2 + p) S_iota)/(4 + p) with cos u = 1 - q4/2
-        dm = a * (p * S_k - (2.0 + p) * S_i) - 2.0 * du * S_E
-        rb[inside] = np.exp(-x)
-        wb[inside] = (2.0 / t + dm) / (4.0 * np.pi)
+            inside = inv.sum(axis=1) > target
+            rb, mb, wb, out = r[sl], m[sl], w[sl], ~inside
+            mb[out] = 2.0 * (inv[out] * su[out]).sum(axis=1)
+            del ch, inv  # as in the additive, each table is freed once done with
+            q4 = q4[inside]
+            p0 = np.maximum(0.0, np.max(tw - q4, axis=1))
+            _, (p, x, iota, kappa, S_i, S_k, slope) = solve(
+                0.0, u_hi, np.log1p(0.25 * p0), partial(evaluate, q4=q4)
+            )
+            su = su[inside]
+            a = 1.0 / (4.0 + p)
+            mb[inside] = 2.0 * a * np.multiply(iota, su, out=iota).sum(axis=1)
+            # S_E = sum_j w_j (4 + p) sin u_j/(p + q4_j)^2 = -S_iota (d ln f/dtheta)/2
+            S_E = a * np.multiply(kappa, su, out=kappa).sum(axis=1)
+            du = 2.0 * S_E / (S_i * slope)
+            # dm/dtheta = 2 sum_j w_j (p cos u_j - q4_j)/(p + q4_j)^2 - 2 S_E du/dtheta,
+            # whose sum is (p S_kappa - (2 + p) S_iota)/(4 + p) with cos u = 1 - q4/2
+            dm = a * (p * S_k - (2.0 + p) * S_i) - 2.0 * du * S_E
+            rb[inside] = np.exp(-x)
+            wb[inside] = (2.0 / t + dm) / (4.0 * np.pi)
+    # r = e^{-x}, x in the solve's bracket; phi is finite with m
+    require_finite(what, t, w, m)
     return r, th + 0.5 * t * m, w, m
 
 

@@ -128,3 +128,43 @@ class Multiplicative:
     def density(self, th):
         """w_t(theta) = (1/(4 pi)) (2/t + dm_t/dtheta)."""
         return (2 / self.t + mp.diff(self.m, mp.mpf(th))) / (4 * mp.pi)
+
+
+class KFold:
+    """u b_t for the K-fold measure: K atoms alpha_0 + 2 pi j/K of weight 1/K
+    each, in closed form with no sum over atoms. Averaging the Poisson
+    kernel over the K shifts keeps only its Fourier modes that are multiples
+    of K, so with R = e^{-Kx} and theta' = theta - alpha_0
+
+        f = (1/(2x)) (1 - R^2)/(1 - 2R cos K theta' + R^2),
+        m = 2R sin K theta'/(1 - 2R cos K theta' + R^2),
+
+    and f(1-, theta) = K/(4 sin^2(K theta'/2)). x = -log r_t and m_t are
+    taken at an angle of U_t that is not an atom angle, w_t through mp.diff
+    of m_t along the root."""
+
+    def __init__(self, K, alpha0, t):
+        self.K, self.a0, self.t = K, mp.mpf(float(alpha0)), mp.mpf(float(t))
+
+    def f(self, th, x):
+        c = self.K * (mp.mpf(th) - self.a0)
+        if x == 0:
+            return self.K / (4 * mp.sin(c / 2) ** 2)
+        R = mp.exp(-self.K * x)
+        return -mp.expm1(-2 * self.K * x) / (2 * x * (1 - 2 * R * mp.cos(c) + R * R))
+
+    def m_at(self, th, x):
+        c, R = self.K * (mp.mpf(th) - self.a0), mp.exp(-self.K * x)
+        return 2 * R * mp.sin(c) / (1 - 2 * R * mp.cos(c) + R * R)
+
+    def x(self, th):
+        """-log r_t(theta), below x_hi = t/4 + sqrt(t^2/16 + t)."""
+        t = self.t
+        return _root(lambda x: self.f(th, x) - 1 / t, mp.zero, t / 4 + mp.sqrt(t * t / 16 + t))
+
+    def m(self, th):
+        return self.m_at(th, self.x(th))
+
+    def density(self, th):
+        """w_t(theta) = (1/(4 pi)) (2/t + dm_t/dtheta)."""
+        return (2 / self.t + mp.diff(self.m, mp.mpf(th))) / (4 * mp.pi)

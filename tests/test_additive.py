@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from _cumulants import free_additive_with_semicircle
@@ -16,7 +18,7 @@ from freebrown.additive import (
     v_t,
 )
 from freebrown.cli import write_rows
-from freebrown.errors import ValidationError
+from freebrown.errors import NumericalError, ValidationError
 from freebrown.measures import SpectralMeasure
 
 D0 = SpectralMeasure.point_mass(0.0)
@@ -167,6 +169,16 @@ def test_profile_on_a_huge_grid():
     assert not prof.v.any() and not prof.w.any()
     assert np.array_equal(prof.psi, grid)
     assert np.allclose(prof.support_intervals, [(-1.0, 1.0)], atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e300])
+def test_rows_at_extreme_time(t):
+    """At t = 1e-300 the table w_j/D_j^2 overflows, at t = 1e300 the Newton
+    step loses its scale: the rows are not finite, and the row pass raises
+    NumericalError, without a RuntimeWarning (an error in this suite)."""
+    for f in (density_w, v_t, psi_t):
+        with pytest.raises(NumericalError, match=re.escape(f"non-finite rows at t={t:g}") + "$"):
+            f(D0, t, 0.0)
 
 
 def test_profile_disk_support():

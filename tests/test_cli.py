@@ -312,6 +312,26 @@ def test_haar_mass_gate_at_tiny_time(tmp_path, capsys):
     assert err.startswith("mass=0.000000000 ")
 
 
+@pytest.mark.parametrize("flow,sub,doc,t", [
+    ("additive", "density", DELTA0, "1e-300"),
+    ("additive", "density", DELTA0, "1e300"),
+    ("additive", "law", DELTA0, "1e-300"),
+    ("mult", "density", CIRCLE, "1e-300"),
+], ids=["additive-density-1e-300", "additive-density-1e300", "additive-law-1e-300",
+        "mult-density-1e-300"])
+def test_extreme_time_exit_code(tmp_path, capsys, flow, sub, doc, t):
+    """At a t so small or so large that the row tables leave the floats the
+    rows are not finite: exit 3 with one JSON error and no RuntimeWarning
+    (an error in this suite). The law, which does not write w, exits 3 too."""
+    mpath = write_measure(tmp_path, doc, "m.json")
+    argv = [flow, sub, "--measure", mpath, "--t", t, "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"].endswith(f"non-finite rows at t={float(t):g}")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_mass_gate_grid_misses_support(tmp_path, capsys):
     """A grid clear of the whole support keeps no interval: the mass
     integral over none is 0, and the gate exits 3."""
@@ -451,24 +471,30 @@ def test_directory_as_input_exit_code(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().err.strip())
 
 
-def test_no_command_takes_format(tmp_path, capsys):
-    """CSV is the one row format: every subcommand rejects ``--format``
-    (exit 2), and no manifest records a format."""
+def _every_command(tmp_path, n_theta=("--n-theta", "64")):
+    """One argv per command (without ``--out``), keyed by its output name;
+    the mult and compare runs pass ``n_theta``."""
     mpath, eig = _haar_spectrum(tmp_path)
     d0 = write_measure(tmp_path, DELTA0, "d0.json")
-    runs = {
+    return {
         "add_density.csv": ["additive", "density", "--measure", d0, "--t", "1"],
         "add_law.csv": ["additive", "law", "--measure", d0, "--t", "1"],
-        "mult_density.csv": ["mult", "density", "--measure", mpath, "--t", "1", "--n-theta", "64"],
-        "mult_law.csv": ["mult", "law", "--measure", mpath, "--t", "1", "--n-theta", "64"],
+        "mult_density.csv": ["mult", "density", "--measure", mpath, "--t", "1", *n_theta],
+        "mult_law.csv": ["mult", "law", "--measure", mpath, "--t", "1", *n_theta],
         "sim_add.csv": ["simulate", "additive", "--measure", d0, "--t", "1", "--n", "20",
                         "--seed", "1"],
         "sim_mult.csv": ["simulate", "mult", "--measure", mpath, "--t", "1", "--n", "20",
                          "--steps", "100", "--seed", "1"],
         "compare.json": ["compare", "--spectrum", str(eig), "--measure", mpath,
-                         "--marginal", "radius", "--n-theta", "64"],
+                         "--marginal", "radius", *n_theta],
         "check.json": ["check", "haar", "--t", "1"],
     }
+
+
+def test_no_command_takes_format(tmp_path, capsys):
+    """CSV is the one row format: every subcommand rejects ``--format``
+    (exit 2), and no manifest records a format."""
+    runs = _every_command(tmp_path)
     for name, argv in runs.items():
         argv = argv + ["--out", str(tmp_path / name)]
         for fmt in ("csv", "json"):
@@ -480,6 +506,34 @@ def test_no_command_takes_format(tmp_path, capsys):
     for name in [*runs, "s.csv"]:
         manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
         assert "format" not in manifest["config"]
+
+
+def test_manifest_records_the_parsed_options(tmp_path, capsys):
+    """A manifest's config is ``command`` plus exactly the options of that
+    command's parser, with their defaults applied: no key of another
+    command, and the angle count of a run without ``--n-theta``."""
+    common = {"measure_path", "t", "out"}
+    options = {
+        "add_density.csv": ("additive-density", common | {"grid"}),
+        "add_law.csv": ("additive-law", common | {"grid"}),
+        "mult_density.csv": ("mult-density", common | {"n_theta"}),
+        "mult_law.csv": ("mult-law", common | {"n_theta"}),
+        "sim_add.csv": ("simulate-additive", common | {"n", "seed"}),
+        "sim_mult.csv": ("simulate-mult", common | {"n", "seed", "steps"}),
+        "compare.json": ("compare",
+                         {"spectrum", "measure_path", "marginal", "grid", "n_theta", "out"}),
+        "check.json": ("check-haar", {"t", "out"}),
+    }
+    for name, argv in _every_command(tmp_path, n_theta=()).items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        config = json.loads((tmp_path / f"{name}.manifest.json").read_text())["config"]
+        command, keys = options[name]
+        assert config.pop("command") == command
+        assert set(config) == keys, name
+        assert config["out"] == str(tmp_path / name)
+        if "n_theta" in keys:
+            assert config["n_theta"] == cli.DEFAULT_N_THETA == 1441
+    capsys.readouterr()
 
 
 def _fresh_python(args, cwd):

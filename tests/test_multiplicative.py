@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freebrown.cli import write_rows
-from freebrown.errors import ValidationError
+from freebrown.errors import NumericalError, ValidationError
 from freebrown.measures import SpectralMeasure, reflect_circle_measure
 from freebrown.multiplicative import (
     _rows,
@@ -423,6 +423,15 @@ def test_annulus_check(t):
     assert annulus_radial_cdf(t, 1.0) == pytest.approx(0.5, abs=1e-15)
     assert annulus_radial_cdf(t, np.exp(t / 2.0)) == pytest.approx(1.0)
     assert annulus_radial_cdf(t, np.exp(-t / 2.0)) == pytest.approx(0.0)
+
+
+def test_rows_at_tiny_time():
+    """At t = 1e-300 the solve's table kappa_j overflows at an atom angle:
+    the rows are not finite, and the row pass raises NumericalError, without
+    a RuntimeWarning (an error in this suite)."""
+    mu_bar = reflect_circle_measure(SpectralMeasure.circle_atomic([0.4, 2.0], [0.5, 0.5]))
+    with pytest.raises(NumericalError, match=r"non-finite rows at t=1e-300$"):
+        r_t(mu_bar, 1e-300, 2.0)
 
 
 def test_k_fold_measure_reaches_the_annulus():

@@ -28,7 +28,8 @@ Bounds:
 import math
 
 import numpy as np
-from _oracle import DPS, Additive, Multiplicative
+import pytest
+from _oracle import DPS, Additive, KFold, Multiplicative
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -196,6 +197,65 @@ def test_circle_random_measures(lw, t):
     mu = SpectralMeasure.circle_atomic(lw[0], np.array(lw[1]) / sum(lw[1]))
     worst = check_circle(mu, t, (1e-3, 1e-7, 1e-11), 2)
     assert max(worst.values()) <= 1.0, worst
+
+
+# -- K-fold circle measures, in closed form ---------------------------------------
+
+ALPHA0 = 0.3
+
+
+def _k_fold(k):
+    return SpectralMeasure.circle_atomic(
+        ALPHA0 + 2.0 * np.pi * np.arange(k) / k, np.full(k, 1.0 / k)
+    )
+
+
+@pytest.mark.parametrize("k", [5, 64, 200])
+def test_k_fold_random_angles(k):
+    """x = -log r_t, m_t and w_t of the K-fold measure at random angles,
+    t = 1 (Kt > 4: U_t is the whole circle), against the closed form, within
+    check_circle's windows. The m window scales SLACK by the float rows' own
+    terms 2r sum_j w_j |sin u_j|/D_j."""
+    t, mu = 1.0, _k_fold(k)
+    mu_bar = reflect_circle_measure(mu)
+    pts = np.random.default_rng(k).uniform(-np.pi, np.pi, 8)
+    r, _, w, m = multiplicative._rows(mu_bar, t, pts)
+    prof = multiplicative.multiplicative_profile(mu, t, 1440)
+    w_bound = W_SHARE["circle"] * float(np.max(prof.w))
+    ref, worst = KFold(k, ALPHA0, t), {"x": 0.0, "w": 0.0, "m": 0.0}
+    with mp.workdps(DPS):
+        for th, r_f, w_f, m_f in zip(pts, r, w, m):
+            x = ref.x(th)
+            f_x = mp.diff(lambda y: ref.f(th, y), x)
+            m_x = mp.diff(lambda y: ref.m_at(th, y), x)
+            x_bound = RHO / (ref.t * abs(f_x)) + SLACK * x + mp.mpf(2) ** -53
+            worst["x"] = max(worst["x"], float(abs(-mp.log(mp.mpf(r_f)) - x) / x_bound))
+            worst["w"] = max(worst["w"], abs(float(ref.density(th)) - w_f) / w_bound)
+            u = th + mu_bar.locations
+            D = 1.0 - 2.0 * r_f * np.cos(u) + r_f * r_f
+            m_terms = 2.0 * r_f * np.sum(mu_bar.weights * np.abs(np.sin(u)) / D)
+            m_bound = RHO * abs(m_x / f_x) / ref.t + SLACK * m_terms
+            worst["m"] = max(worst["m"], float(abs(ref.m_at(th, x) - m_f) / m_bound))
+    assert max(worst.values()) <= 1.0, worst
+
+
+@pytest.mark.parametrize("k,t", [(200, 0.01), (64, 0.02), (7, 0.3)])
+def test_k_fold_arc_ends(k, t):
+    """For Kt < 4, f(1-, theta) = K/(4 sin^2(K theta'/2)) exceeds 1/t on K
+    arcs around the atoms, of half-width d = (2/K) arcsin(sqrt(Kt/4)). Every
+    end off the cut lies within 4 ulps of pi of atom +- d: the first float
+    outside, and the few ulps where the float indicator is not monotone."""
+    mu = _k_fold(k)
+    ends = sorted(e for arc in multiplicative._u_components(mu, t) for e in arc if abs(e) < np.pi)
+    with mp.workdps(DPS):
+        d = 2 * mp.asin(mp.sqrt(k * mp.mpf(t) / 4)) / k
+        want = sorted(
+            float((mp.mpf(a) + s * d + mp.pi) % (2 * mp.pi) - mp.pi)
+            for a in mu.locations
+            for s in (-1, 1)
+        )
+    assert len(ends) == 2 * k
+    assert np.max(np.abs(np.array(ends) - want)) <= 4 * np.spacing(np.pi)
 
 
 def test_log_g_slope_against_mp_diff():
