@@ -28,7 +28,8 @@ All three come from one pass over each block of points (``_rows``), which
 forms a - x_j once for the support test, the v_t solve and the w_t and psi_t
 rows; every public function of them is a column of that pass. The rows read
 the Newton step's last tables, at the roots: B = sum_j w_j/D_j^2 = -dS/ds is
-also the denominator of d(v_t^2)/da.
+also the denominator of d(v_t^2)/da. The Brown mass (``total_mass``) is the
+integral of the one density 2 v_t w_t over the exact support intervals.
 """
 
 from __future__ import annotations
@@ -212,37 +213,20 @@ def _components(mu, t):
     return np.append(ends[-2], ends[n:-2]), np.append(ends[:n], ends[-1])
 
 
-# -- integrals over the support ----------------------------------------------
-
-
-def _integrate_moments(profile: AdditiveProfile, powers) -> np.ndarray:
-    """int psi_t(a)^k 2 v_t(a) w_t(a) da over the support, k in ``powers``."""
-    mu, t = profile.measure, profile.t
-
-    def f(a):
-        v, w, psi = _rows(mu, t, a)
-        base = 2.0 * v * w
-        return np.stack([base * psi**k for k in powers], axis=1)
-
-    # (-1, 2): a grid clear of the support keeps no interval, and mass 0
-    lo, hi = np.reshape(profile.support_intervals, (-1, 2)).T
-    return integrate_adaptive(f, lo, hi).sum(axis=0)
-
-
-def pushforward_moments(profile: AdditiveProfile, k_max: int) -> np.ndarray:
-    """Moments m_k = int psi_t(a)^k 2 v_t(a) w_t(a) da, k = 1..k_max.
-
-    Nested Clenshaw-Curtis over every support interval at once, refined
-    until successive estimates agree to 1e-8 relative.
-    """
-    if k_max < 1:
-        raise ValidationError("k_max must be >= 1")
-    return _integrate_moments(profile, range(1, k_max + 1))
+# -- mass over the support ----------------------------------------------------
 
 
 def total_mass(profile: AdditiveProfile) -> float:
     """int 2 v_t w_t da over the support (should be 1)."""
-    return float(_integrate_moments(profile, [0])[0])
+    mu, t = profile.measure, profile.t
+
+    def f(a):
+        v, w, _ = _rows(mu, t, a)
+        return 2.0 * v * w
+
+    # (-1, 2): a grid clear of the support keeps no interval, and mass 0
+    lo, hi = np.reshape(profile.support_intervals, (-1, 2)).T
+    return float(integrate_adaptive(f, lo, hi).sum())
 
 
 def support_sidecar(profile: AdditiveProfile) -> dict:

@@ -8,8 +8,9 @@ outputs (the command and its parser's options, defaults applied, plus
 versions), CSV floats are fixed at 17 significant digits so identical
 configs give byte-identical files, and a one-line summary (mass/bounds
 checks) goes to stdout. Validation problems exit 2, numerical failures
-(including non-finite rows) exit 3, with a machine-readable
-``{"error": ...}`` on stderr.
+(including non-finite rows, a density mass or a ``check haar`` discrepancy
+past ``MASS_TOL``) exit 3, with a machine-readable ``{"error": ...}`` on
+stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .measures import load_measure
 
 DEFAULT_ADDITIVE_POINTS = 801
 DEFAULT_N_THETA = 1441
-#: a density run whose total mass misses 1 by more than this fails
+#: a density run whose total mass misses 1 by more than this fails, and so
+#: does ``check haar`` whose two radial CDFs differ by more than this
 MASS_TOL = 1e-6
 
 
@@ -194,6 +196,12 @@ def _run_compare(args):
 
 def _run_check_haar(args):
     check = multiplicative.haar_annulus_check(args.t)
+    # the radial CDF is the mass inside a radius: it takes the mass gate
+    if not check.max_discrepancy <= MASS_TOL:
+        raise NumericalError(
+            f"check-haar: max_discrepancy={check.max_discrepancy:.3e} exceeds "
+            f"{MASS_TOL:g} at t={args.t}"
+        )
     if args.out:
         _write_json(args.out, {k: np.asarray(v).tolist() for k, v in asdict(check).items()})
     print(f"check-haar: t={args.t} max_discrepancy={check.max_discrepancy:.3e}")

@@ -32,12 +32,9 @@ FILE_WEIGHT_TOL = 1e-6
 
 
 def wrap_angle(theta):
-    """Normalize an angle (array or scalar) to (-pi, pi]."""
+    """Normalize an array of angles to (-pi, pi]."""
     out = np.remainder(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-    out = np.where(out == -np.pi, np.pi, out)
-    if np.ndim(theta) == 0:
-        return float(out)
-    return out
+    return np.where(out == -np.pi, np.pi, out)
 
 
 def _dedup(locations, weights, circle):
@@ -122,10 +119,6 @@ class SpectralMeasure:
     @classmethod
     def haar(cls):
         return cls(HAAR, np.empty(0), np.empty(0))
-
-    @classmethod
-    def point_mass(cls, x):
-        return cls.real_atomic([x], [1.0])
 
     # -- predicates --------------------------------------------------------
 

@@ -393,25 +393,18 @@ class AnnulusCheck:
     max_discrepancy: float
 
 
-def annulus_radial_cdf(t: float, r):
-    """Closed-form radial CDF 1 + S^{-1}(r^-2) = 1/2 + log(r)/t on the
-    annulus [e^{-t/2}, e^{t/2}], clipped to [0, 1] outside; ``r`` is a
-    radius or an array of them."""
-    check_time(t)
-    return np.clip(0.5 + np.log(r) / t, 0.0, 1.0)
-
-
 #: radii at which ``haar_annulus_check`` compares the two CDFs
 ANNULUS_RADII = 33
 
 
 def haar_annulus_check(t: float) -> AnnulusCheck:
-    """Compare the Haagerup-Larsen CDF against ``radius_cdf`` of the Haar
-    profile, the CDF that ``compare --marginal radius`` integrates, on a
-    uniform grid of the annulus [e^{-t/2}, e^{t/2}]."""
+    """Compare the Haagerup-Larsen CDF 1 + S^{-1}(r^-2) = 1/2 + log(r)/t
+    against ``radius_cdf`` of the Haar profile, the CDF that
+    ``compare --marginal radius`` integrates, on a uniform grid of the
+    annulus [e^{-t/2}, e^{t/2}]."""
     _check_time(t)
     radii = np.linspace(np.exp(-0.5 * t), np.exp(0.5 * t), ANNULUS_RADII)
-    cdf_s = annulus_radial_cdf(t, radii)
+    cdf_s = np.clip(0.5 + np.log(radii) / t, 0.0, 1.0)
     # 16 angles, the fewest a profile takes: the Haar rows do not depend on theta
     cdf_num = radius_cdf(multiplicative_profile(SpectralMeasure.haar(), t, 16), radii)
     return AnnulusCheck(t, radii, cdf_s, cdf_num, float(np.max(np.abs(cdf_s - cdf_num))))

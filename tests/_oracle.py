@@ -11,9 +11,14 @@ Atoms, weights, t and the probe points enter as the exact values of their
 floats, so the reference answers for the inputs the float code was given.
 """
 
+import numpy as np
 from mpmath import mp
 
+from freebrown.measures import SpectralMeasure
+
 DPS = 40
+#: the first atom angle of ``k_fold_measure``
+ALPHA0 = 0.3
 
 
 def _root(F, lo, hi):
@@ -128,6 +133,12 @@ class Multiplicative:
     def density(self, th):
         """w_t(theta) = (1/(4 pi)) (2/t + dm_t/dtheta)."""
         return (2 / self.t + mp.diff(self.m, mp.mpf(th))) / (4 * mp.pi)
+
+
+def k_fold_measure(K):
+    """K atoms ALPHA0 + 2 pi j/K of weight 1/K each, the measure of ``KFold``."""
+    angles = ALPHA0 + 2.0 * np.pi * np.arange(K) / K
+    return SpectralMeasure.circle_atomic(angles, np.full(K, 1.0 / K))
 
 
 class KFold:

@@ -44,4 +44,4 @@ def asym_mult_spectrum_500(asym_circle_measure):
 @pytest.fixture(scope="session")
 def additive_delta0_spectrum_1000():
     """Centered point mass, t=1, n=1000, seed 42."""
-    return sample_additive(SpectralMeasure.point_mass(0.0), 1000, 1.0, 42)
+    return sample_additive(SpectralMeasure.real_atomic([0.0], [1.0]), 1000, 1.0, 42)

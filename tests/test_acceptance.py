@@ -18,13 +18,13 @@ from _cumulants import (
     moments_of_measure,
     moments_to_free_cumulants,
 )
+from _moments import pushforward_moments
 from _transforms import phi_map
 
 from freebrown.additive import (
     additive_profile,
     density_w,
     psi_t,
-    pushforward_moments,
     total_mass,
 )
 from freebrown.measures import SpectralMeasure, reflect_circle_measure
@@ -61,7 +61,7 @@ def report(num, description):
 
 @report(1, "circular law reduction (delta_0, t=1)")
 def test_criterion_1_circular_law():
-    mu = SpectralMeasure.point_mass(0.0)
+    mu = SpectralMeasure.real_atomic([0.0], [1.0])
     start = time.perf_counter()
     prof = additive_profile(mu, 1.0, np.linspace(-2, 2, 801))
     mass = total_mass(prof)
@@ -167,7 +167,7 @@ def test_criterion_6_derivative_consistency():
 def test_criterion_7_rmt_agreement(
     additive_delta0_spectrum_1000, haar_mult_spectrum_500, asym_mult_spectrum_500
 ):
-    mu0 = SpectralMeasure.point_mass(0.0)
+    mu0 = SpectralMeasure.real_atomic([0.0], [1.0])
     prof_add = additive_profile(mu0, 1.0, np.linspace(-3, 3, 801))
     rep = compare_marginal(additive_delta0_spectrum_1000, prof_add, "real-part")
     assert rep.distance <= 0.05

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 from _cumulants import free_additive_with_semicircle
+from _moments import pushforward_moments
 from _transforms import subordination_H
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from freebrown.additive import (
     additive_profile,
     density_w,
     density_w_array,
-    pushforward_moments,
     psi_t,
     support_sidecar,
     total_mass,
@@ -21,7 +21,7 @@ from freebrown.cli import write_rows
 from freebrown.errors import NumericalError, ValidationError
 from freebrown.measures import SpectralMeasure
 
-D0 = SpectralMeasure.point_mass(0.0)
+D0 = SpectralMeasure.real_atomic([0.0], [1.0])
 BERN = SpectralMeasure.real_atomic([-1.0, 1.0], [0.5, 0.5])
 TWO = SpectralMeasure.real_atomic([-0.8, 0.8], [0.25, 0.75])
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from _oracle import k_fold_measure
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -302,11 +303,20 @@ def _first_outside(intervals, predicate, skip=()):
         assert predicate(ends[:, 1]).all()
 
 
+def _k_fold_atoms(k):
+    return k_fold_measure(k).locations.tolist(), [1.0] * k
+
+
 @settings(max_examples=40, deadline=None)
 @given(atoms(-3, 3, 6), atoms(-3.1, 3.1, 6), st.floats(0.02, 3.0))
+@example(([-1.0, 1.0], [1.0, 1.0]), _k_fold_atoms(200), 0.01)
+@example(([-1.0, 1.0], [1.0, 1.0]), _k_fold_atoms(64), 0.02)
+@example(([-1.0, 1.0], [1.0, 1.0]), _k_fold_atoms(7), 0.3)
 def test_ends_are_the_first_float_outside(line, circle, t):
     """Newton brings each end within a few ulps; the probes and bisection
-    after it must still end on the first float outside, exactly."""
+    after it must still end on the first float outside, exactly. The
+    examples include K-fold circle measures at Kt < 4, whose K arcs have
+    closed-form ends (``test_oracle.py::test_k_fold_arc_ends``)."""
     level = 1.0 / t
     mu = SpectralMeasure.real_atomic(line[0], _weights(line[1]))
     intervals = np.transpose(additive._components(mu, t))
@@ -321,7 +331,7 @@ def test_ends_are_the_first_float_outside(line, circle, t):
 # -- blocks ------------------------------------------------------------------------
 
 LINE = {
-    1: (SpectralMeasure.point_mass(0.0), 1.0),
+    1: (SpectralMeasure.real_atomic([0.0], [1.0]), 1.0),
     3: (SpectralMeasure.real_atomic([-1.0, 0.3, 1.5], [0.2, 0.5, 0.3]), 0.5),
     200: (_dense(1, "real-atomic", -3, 3), 0.05),
 }
@@ -443,14 +453,20 @@ def test_additive_rows_read_the_last_evaluation(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flow, indicator, t",
-    [(additive, "_sum_inv_sq", 0.1), (multiplicative, "f_limit_at_circle", 0.25)],
-    ids=["line", "circle"],
+    "flow, indicator, mu, t, components",
+    [
+        (additive, "_sum_inv_sq", _clustered(1, "real-atomic", -3.0, 3.0), 0.1, 8),
+        (multiplicative, "f_limit_at_circle", _clustered(1), 0.25, 8),
+        (multiplicative, "f_limit_at_circle", k_fold_measure(200), 0.01, 200),
+    ],
+    ids=["line", "circle", "k-fold"],
 )
-def test_components_take_few_indicator_calls(monkeypatch, flow, indicator, t):
+def test_components_take_few_indicator_calls(monkeypatch, flow, indicator, mu, t, components):
     """One support components call on a clustered 200-atom measure (8
     clusters on [-3, 3] or around the circle) evaluates the indicator at
-    most 20 times: 12 and 11 here, where bisection alone took 54 and 55."""
+    most 20 times: 12 and 11 here, where bisection alone took 54 and 55.
+    On the 200-fold measure at Kt = 2, whose 200 arcs have closed-form ends,
+    it takes 11."""
     calls, orig = [0], getattr(flow, indicator)
 
     def counting(*args):
@@ -459,9 +475,7 @@ def test_components_take_few_indicator_calls(monkeypatch, flow, indicator, t):
 
     monkeypatch.setattr(flow, indicator, counting)
     if flow is additive:
-        mu = _clustered(1, "real-atomic", -3.0, 3.0)
-        assert len(np.transpose(additive._components(mu, t))) == 8
+        assert len(np.transpose(additive._components(mu, t))) == components
     else:
-        mu = _clustered(1)
-        assert len(multiplicative._u_components(mu, t)) == 8
+        assert len(multiplicative._u_components(mu, t)) == components
     assert calls[0] <= 20

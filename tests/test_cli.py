@@ -312,6 +312,24 @@ def test_haar_mass_gate_at_tiny_time(tmp_path, capsys):
     assert err.startswith("mass=0.000000000 ")
 
 
+@pytest.mark.parametrize("t, code", [("1e-17", 3), ("1e-12", 3), ("1e-10", 0)])
+def test_check_haar_gate(tmp_path, capsys, t, code):
+    """The radial CDF is the mass inside a radius, so ``check haar`` takes the
+    mass gate: below t ~ 1e-11 the rounded r_t = e^{-t/2} moves the profile's
+    CDF by more than MASS_TOL (0.5 at 1e-17, 8.9e-5 at 1e-12), and the check
+    exits 3 with one JSON error and no report. At 1e-10 it misses by 8.3e-8."""
+    out = tmp_path / "check.json"
+    assert main(["check", "haar", "--t", t, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err)["error"].startswith("check-haar: max_discrepancy=")
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_text())["max_discrepancy"] <= cli.MASS_TOL
+        assert captured.err == ""
+
+
 @pytest.mark.parametrize("flow,sub,doc,t", [
     ("additive", "density", DELTA0, "1e-300"),
     ("additive", "density", DELTA0, "1e300"),

@@ -4,8 +4,12 @@ from _cumulants import (
     MAX_ORDER,
     free_additive_with_semicircle,
     free_cumulants_to_moments,
+    free_multiplicative_with_unitary_flow,
+    kreweras_complement,
     moments_of_measure,
     moments_to_free_cumulants,
+    non_crossing_partitions,
+    unitary_flow_moments,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,53 +18,7 @@ from freebrown.errors import ValidationError
 from freebrown.measures import SpectralMeasure
 
 
-# -- independent oracle: explicit non-crossing partition enumeration ------------
-
-
-def non_crossing_partitions(n):
-    """All non-crossing partitions of {0..n-1}, built recursively: the block
-    of element 0 is chosen, and the gaps it leaves are partitioned
-    independently (non-crossing forbids blocks straddling a gap)."""
-    if n == 0:
-        return [[]]
-    out = []
-    items = list(range(n))
-
-    def helper(elements):
-        if not elements:
-            return [[]]
-        first, rest = elements[0], elements[1:]
-        results = []
-        # choose the rest of first's block as any subset of `rest` that keeps
-        # the partition non-crossing: iterate over sorted index subsets
-        for mask in range(2 ** len(rest)):
-            block = [first] + [rest[i] for i in range(len(rest)) if mask >> i & 1]
-            # split remaining elements into segments between block members
-            segments = []
-            current = []
-            bset = set(block)
-            for e in rest:
-                if e in bset:
-                    segments.append(current)
-                    current = []
-                else:
-                    current.append(e)
-            segments.append(current)
-            subresults = [[]]
-            ok = True
-            for seg in segments:
-                seg_parts = helper(seg)
-                subresults = [a + b for a in subresults for b in seg_parts]
-                if not seg_parts:
-                    ok = False
-                    break
-            if ok:
-                results.extend([[block] + parts for parts in subresults])
-        return results
-
-    for parts in helper(items):
-        out.append(parts)
-    return out
+# -- independent oracle: the sum over non-crossing partitions ---------------------
 
 
 def moments_from_cumulants_by_enumeration(kappa, K):
@@ -84,7 +42,7 @@ def test_enumeration_counts_catalan():
 
 
 def test_moments_of_measure():
-    d0 = SpectralMeasure.point_mass(0.0)
+    d0 = SpectralMeasure.real_atomic([0.0], [1.0])
     assert np.allclose(moments_of_measure(d0, 4), [0, 0, 0, 0])
     bern = SpectralMeasure.real_atomic([-1, 1], [0.5, 0.5])
     assert np.allclose(moments_of_measure(bern, 4), [0, 1, 0, 1])
@@ -131,9 +89,9 @@ def test_recursion_matches_enumeration(kappa):
 
 
 def test_free_additive_with_semicircle():
-    d0 = SpectralMeasure.point_mass(0.0)
+    d0 = SpectralMeasure.real_atomic([0.0], [1.0])
     assert np.allclose(free_additive_with_semicircle(d0, 1.0, 4), [0, 1, 0, 2])
-    dc = SpectralMeasure.point_mass(0.7)
+    dc = SpectralMeasure.real_atomic([0.7], [1.0])
     assert np.allclose(
         free_additive_with_semicircle(dc, 0.3, 2), [0.7, 0.7**2 + 0.3]
     )
@@ -151,3 +109,65 @@ def test_t_zero_is_identity():
 def test_order_cap():
     with pytest.raises(ValidationError):
         moments_to_free_cumulants(np.zeros(MAX_ORDER + 1))
+
+
+# -- the product with the free unitary Brownian motion -----------------------------
+
+
+def product_by_subordination(mu, t, k_max):
+    """Moments of u u_t from Biane's subordination eta_{u u_t}(Phi_t(z)) =
+    eta_u(z), Phi_t(z) = z exp((t/2)(1 + 2 psi_u(z))), psi(z) = sum_n m_n z^n,
+    as power series to order k_max. eta = psi/(1 + psi) is one-to-one, so
+    psi_{u u_t}(Phi_t(z)) = psi_u(z) too; Phi_t(z)^k = e^{kt/2} z^k + O(z^{k+1}),
+    so the coefficient of z^n gives M_n from M_1..M_{n-1}."""
+    psi_u = np.concatenate(([0.0], moments_of_measure(mu, k_max)))
+    h = t * psi_u  # the exponent less its constant t/2: E' = h' E
+    e = np.zeros(k_max + 1, dtype=complex)
+    e[0] = 1.0
+    for n in range(1, k_max + 1):
+        e[n] = sum(k * h[k] * e[n - k] for k in range(1, n + 1)) / n
+    phi = np.exp(t / 2.0) * np.concatenate(([0.0], e[:-1]))
+    powers, power = [], np.ones(1)
+    for _ in range(k_max):
+        power = np.convolve(power, phi)[: k_max + 1]
+        powers.append(power)
+    M = np.zeros(k_max + 1, dtype=complex)
+    for n in range(1, k_max + 1):
+        known = sum(M[k] * powers[k - 1][n] for k in range(1, n))
+        M[n] = (psi_u[n] - known) / powers[n - 1][n]
+    return M[1:]
+
+
+def test_kreweras_complement_sizes():
+    """|pi| + |K(pi)| = n + 1 on NC(n), and K maps NC(n) onto itself."""
+    for n in range(1, 7):
+        nc = non_crossing_partitions(n)
+        images = [kreweras_complement(parts, n) for parts in nc]
+        assert all(len(p) + len(k) == n + 1 for p, k in zip(nc, images))
+        assert sorted(map(sorted, images)) == sorted(map(sorted, nc))
+
+
+def test_point_mass_gives_the_unitary_flow():
+    """u = 1: the product is u_t itself, by both routes."""
+    one = SpectralMeasure.circle_atomic([0.0], [1.0])
+    for t in (0.3, 1.0, 4.0):
+        want = unitary_flow_moments(t, 6)
+        assert np.allclose(free_multiplicative_with_unitary_flow(one, t, 6), want, atol=1e-14)
+        assert np.allclose(product_by_subordination(one, t, 6), want, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.floats(-3.1, 3.1), min_size=k, max_size=k, unique=True),
+            st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k),
+        )
+    ),
+    st.floats(0.05, 3.0),
+)
+def test_kreweras_sum_matches_subordination(atoms, t):
+    locs, ws = atoms
+    mu = SpectralMeasure.circle_atomic(locs, np.array(ws) / np.sum(ws))
+    got = free_multiplicative_with_unitary_flow(mu, t, 6)
+    assert np.allclose(got, product_by_subordination(mu, t, 6), rtol=0.0, atol=1e-12)

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 import pytest
-from _oracle import DPS, Additive, KFold, Multiplicative
+from _oracle import ALPHA0, DPS, Additive, KFold, Multiplicative, k_fold_measure
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -201,14 +201,6 @@ def test_circle_random_measures(lw, t):
 
 # -- K-fold circle measures, in closed form ---------------------------------------
 
-ALPHA0 = 0.3
-
-
-def _k_fold(k):
-    return SpectralMeasure.circle_atomic(
-        ALPHA0 + 2.0 * np.pi * np.arange(k) / k, np.full(k, 1.0 / k)
-    )
-
 
 @pytest.mark.parametrize("k", [5, 64, 200])
 def test_k_fold_random_angles(k):
@@ -216,7 +208,7 @@ def test_k_fold_random_angles(k):
     t = 1 (Kt > 4: U_t is the whole circle), against the closed form, within
     check_circle's windows. The m window scales SLACK by the float rows' own
     terms 2r sum_j w_j |sin u_j|/D_j."""
-    t, mu = 1.0, _k_fold(k)
+    t, mu = 1.0, k_fold_measure(k)
     mu_bar = reflect_circle_measure(mu)
     pts = np.random.default_rng(k).uniform(-np.pi, np.pi, 8)
     r, _, w, m = multiplicative._rows(mu_bar, t, pts)
@@ -245,7 +237,7 @@ def test_k_fold_arc_ends(k, t):
     arcs around the atoms, of half-width d = (2/K) arcsin(sqrt(Kt/4)). Every
     end off the cut lies within 4 ulps of pi of atom +- d: the first float
     outside, and the few ulps where the float indicator is not monotone."""
-    mu = _k_fold(k)
+    mu = k_fold_measure(k)
     ends = sorted(e for arc in multiplicative._u_components(mu, t) for e in arc if abs(e) < np.pi)
     with mp.workdps(DPS):
         d = 2 * mp.asin(mp.sqrt(k * mp.mpf(t) / 4)) / k

@@ -31,7 +31,7 @@ from freebrown.rmt import (
     spectrum_metadata,
 )
 
-D0 = SpectralMeasure.point_mass(0.0)
+D0 = SpectralMeasure.real_atomic([0.0], [1.0])
 TWO = SpectralMeasure.real_atomic([-0.8, 0.8], [0.25, 0.75])
 
 
