@@ -1,15 +1,23 @@
 """Machinery shared by the boundary solves of both flows, v_t(a) for
-x0 + c_t and r_t(theta) for u b_t: a safeguarded Newton root solve for one
-block of points, the exact support components and the time check. Each flow
-slices its points into ``blocks`` of at most TABLE_ENTRIES (points x atoms)
-table entries and builds one atom table per block, for its support test, the
-solve and its density rows.
+x0 + c_t and r_t(theta) for u b_t. Both read their boundary off one sum,
 
-The support indicator of either flow is convex on each gap between
+    S(s) = sum_j w_j/(q_j + s) = 1/t,
+
+with q_j = (a - x_j)^2 and s = v^2 on the line, q_j = 4 sin^2(u_j/2) and
+s = p = (1 - r)^2/r on the circle (there times an outer factor, see
+``multiplicative``). Each flow slices its points into ``blocks`` of at most
+TABLE_ENTRIES (points x atoms) table entries and builds its tables q_j and
+c_j (an odd partner: a - x_j, sin u_j) once per block. ``support`` makes of
+them the support test S(0) > 1/t, the outside row sum_j c_j w_j/q_j and the
+start s_0 of the solve; ``solve`` is a safeguarded Newton root solve, and
+``stieltjes`` gives the tables w_j/D_j, w_j/D_j^2 at each of its iterates.
+
+The support indicator S(0) of either flow is convex on each gap between
 neighbouring atoms, so a gap holds at most one outside interval and K atoms
 give at most K components (Biane 1997): ``outside_gaps`` finds those gaps
 and ``refine_endpoints`` their ends: Newton on the indicator's inverse
 square root, concave on each gap, then a few probes and bisection steps.
+Both take the indicator and its first two derivatives.
 """
 
 from __future__ import annotations
@@ -62,6 +70,34 @@ def blocks(n, atoms):
     return (slice(start, start + rows) for start in range(0, n, rows))
 
 
+def stieltjes(D, w):
+    """The tables w_j/D_j and w_j/D_j^2 (written over D) and their sums S
+    and B = -dS/ds, one row per point."""
+    inv = w / D
+    T = np.divide(inv, D, out=D)
+    return inv, T, inv.sum(axis=1), T.sum(axis=1)
+
+
+def support(t, w, q, c):
+    """The support test of one block of points, against the atoms' weights
+    ``w`` (one row), from the flow's even table q_j and odd table c_j.
+
+    A point is inside when S(0) = sum_j w_j/q_j > 1/t (+inf at an atom, so
+    run under the caller's np.errstate). Returns the inside mask, sum_j c_j
+    w_j/q_j at the points outside, q_j at the points inside and their start
+    s_0 = max(0, max_j(t w_j - q_j)): one term alone is at most 1/t there,
+    so s_0 lies below the root of S(s) = 1/t, exact for one atom and
+    positive at an atom. The caller takes c_j at the points inside once its
+    solve is done: each table copied late is one fewer held at once.
+    """
+    inv = w / q
+    inside = inv.sum(axis=1) > 1.0 / t
+    outside = (inv[~inside] * c[~inside]).sum(axis=1)
+    del inv  # freed before the inside table is copied
+    q = q[inside]
+    return inside, outside, q, np.maximum(0.0, np.max(t * w - q, axis=1))
+
+
 def solve(lo, hi, x, evaluate):
     """Roots of independent monotone equations, one per row of a block.
 
@@ -95,6 +131,8 @@ def refine_endpoints(indicator, derivative, level, a_in, a_out):
     """The end of every bracket (``indicator`` > ``level`` at a_in, not at
     a_out): the first float outside, next to a sign change of that float
     predicate, where the boundary is exactly trivial (v_t = 0, r_t = 1).
+    ``derivative(a)`` gives the indicator's first and second derivatives;
+    the first serves here.
 
     The indicator is convex between atoms, so indicator^(-1/2) is concave
     there (linear near a lone atom): ``solve`` runs Newton on it from the
@@ -111,7 +149,7 @@ def refine_endpoints(indicator, derivative, level, a_in, a_out):
     def evaluate(y):
         f = indicator(sign * y)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = 2.0 * f * (1.0 - np.sqrt(f / level)) / (sign * derivative(sign * y))
+            step = 2.0 * f * (1.0 - np.sqrt(f / level)) / (sign * derivative(sign * y)[0])
         # a NaN step (on an atom) stops, and so does a repeated iterate: near
         # a tangency rounding noise in the step outlasts the bracket
         done, last[0] = ~(np.abs(step) > gap) | (y == last[0]), y
@@ -133,18 +171,18 @@ def refine_endpoints(indicator, derivative, level, a_in, a_out):
     return sign * hi
 
 
-def outside_gaps(indicator, level, slope, left, right, w_left, w_right):
+def outside_gaps(indicator, derivative, level, left, right, w_left, w_right):
     """Indices and minimisers of the gaps (left[i], right[i]) between
     neighbouring atoms that hold an outside interval.
 
     The indicator is convex on a gap and infinite at its atoms, so it is at
     most ``level`` on at most one interval, around its minimiser: the root
-    of the decreasing ``slope(x) -> (g, dg/dx)``, by Newton to GAP_STEP_REL
-    of the gap length L. Gaps where the end atoms alone keep it above
-    ``level``, (w_left^(1/3) + w_right^(1/3))^3 / L^2 > level, are skipped
-    unsolved. A gap is kept when the indicator at the minimiser is strictly
-    below ``level``, so both its ends bracket a sign change (a tangency
-    stays inside)."""
+    of its increasing slope, by Newton on ``derivative(x) -> (I', I'')`` to
+    GAP_STEP_REL of the gap length L. Gaps where the end atoms alone keep it
+    above ``level``, (w_left^(1/3) + w_right^(1/3))^3 / L^2 > level, are
+    skipped unsolved. A gap is kept when the indicator at the minimiser is
+    strictly below ``level``, so both its ends bracket a sign change (a
+    tangency stays inside)."""
     length = right - left
     cl, cr = np.cbrt(w_left), np.cbrt(w_right)
     i = np.flatnonzero(~((cl + cr) ** 3 > level * length**2))
@@ -153,12 +191,12 @@ def outside_gaps(indicator, level, slope, left, right, w_left, w_right):
 
     def evaluate(sl, x):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            g, dg = slope(x)
-            step = g / dg
-        return np.abs(step) <= tol[sl], g > 0.0, x - step, None
+            d1, d2 = derivative(x)
+            step = d1 / d2
+        return np.abs(step) <= tol[sl], d1 < 0.0, x - step, None
 
     m = np.empty(len(i))
-    # the slope table has one column per atom, at most len(left) + 1 of them
+    # the derivative tables have one column per atom, at most len(left) + 1 of them
     for sl in blocks(len(i), len(left) + 1):
         m[sl] = solve(lo[sl], hi[sl], first[sl], partial(evaluate, sl))[0]
     kept = indicator(m) < level

@@ -25,9 +25,12 @@ pushes the Brown measure forward to the semicircular flow's law: the density
 of that law at psi_t(a) is v_t(a)/(pi t), and w_t = psi_t'/(2 pi t).
 
 All three come from one pass over each block of points (``_rows``), which
-forms a - x_j once for the support test, the v_t solve and the w_t and psi_t
-rows; every public function of them is a column of that pass. The rows read
-the Newton step's last tables, at the roots: B = sum_j w_j/D_j^2 = -dS/ds is
+forms d_j = a - x_j and q_j = d_j^2 once for the support test, the v_t solve
+and the w_t and psi_t rows; every public function of them is a column of
+that pass. The support test, the start of the solve and the tables of each
+Newton iterate are the ones the multiplicative flow uses too
+(``_boundary.support`` and ``_boundary.stieltjes``). The rows read the
+Newton step's last tables, at the roots: B = sum_j w_j/D_j^2 = -dS/ds is
 also the denominator of d(v_t^2)/da. The Brown mass (``total_mass``) is the
 integral of the one density 2 v_t w_t over the exact support intervals.
 """
@@ -48,6 +51,8 @@ from ._boundary import (
     refine_endpoints,
     require_finite,
     solve,
+    stieltjes,
+    support,
 )
 from .errors import ValidationError
 from .measures import SpectralMeasure
@@ -62,32 +67,21 @@ def _sum_inv_sq(mu, a):
         return np.divide(mu.weights[None, :], d, out=d).sum(axis=1)
 
 
-def _tables(s, d2, wj):
-    """The tables w_j/D_j and w_j/D_j^2 at s, D_j = d_j^2 + s, and their
-    sums S and B."""
-    D = d2 + s[:, None]
-    inv = wj / D
-    T = np.divide(inv, D, out=D)
-    return inv, T, inv.sum(axis=1), T.sum(axis=1)
-
-
 def _rows(mu, t, a, what="v_t"):
     """(v_t, w_t, psi_t) at every point of ``a``, one ``blocks`` slice at a time.
 
-    Each block forms d_j = a - x_j and d_j^2 once, for the support test
-    S(0) > 1/t, the v_t solve and the rows. v_t comes from Newton on
-    1/S(s) = t in s = v^2: S(s) = sum_j w_j/D_j, D_j = d_j^2 + s, is
+    Each block forms d_j = a - x_j and q_j = d_j^2 once, for the support
+    test, the v_t solve and the rows. v_t comes from Newton on 1/S(s) = t in
+    s = v^2 from ``support``'s s_0: S(s) = sum_j w_j/D_j, D_j = d_j^2 + s, is
     decreasing and convex with S'(s) = -B, B = sum_j w_j/D_j^2, so 1/S is
     increasing and concave and Newton started below the root climbs to it
-    without overshooting. The start s_0 = max(0, max_j(t w_j - d_j^2)) is
-    below the root (each term alone is at most 1/t there), exact for one
-    atom and positive at an atom. The root never exceeds t since S(s) <= 1/s.
+    without overshooting. The root never exceeds t since S(s) <= 1/s.
 
     The rows read the tables of the solve's last evaluation, made at the
     roots: psi_t from the table w_j/D_j, and w_t from the table w_j/D_j^2
     and d(v^2)/da = -2 A/B, A = sum_j w_j d_j/D_j^2, by implicit
     differentiation of S = 1/t. Outside the strip (s = 0) psi_t comes from
-    the table w_j/d_j^2 of the support test, and w_t = 0.
+    ``support``'s outside row sum_j w_j d_j/d_j^2, and w_t = 0.
     """
     mu.require_real(what)
     check_time(t)
@@ -95,7 +89,7 @@ def _rows(mu, t, a, what="v_t"):
     target, x, wj = 1.0 / t, mu.locations[None, :], mu.weights[None, :]
 
     def evaluate(s, d2):
-        inv, T, S, B = _tables(s, d2, wj)
+        inv, T, S, B = stieltjes(d2 + s[:, None], wj)
         # s > 0: a point inside the strip never freezes at v = 0
         done = (np.abs(S - target) <= RESIDUAL_REL * target) & (s > 0.0)
         return done, S > target, s + t * S * (S - target) / B, (inv, T, B)
@@ -107,13 +101,9 @@ def _rows(mu, t, a, what="v_t"):
         for sl in blocks(len(a), len(mu.locations)):
             d = a[sl, None] - x
             d2 = d * d
-            inv = wj / d2
-            inside = inv.sum(axis=1) > target
-            vb, wb, psib, ab, out = v[sl], w[sl], psi[sl], a[sl], ~inside
-            psib[out] = ab[out] + t * (inv[out] * d[out]).sum(axis=1)
-            del inv  # each table is freed or reused once done with: fewer held at once
-            d2 = d2[inside]
-            s0 = np.maximum(0.0, np.max(t * wj - d2, axis=1))
+            inside, outside, d2, s0 = support(t, wj, d2, d)
+            vb, wb, psib, ab = v[sl], w[sl], psi[sl], a[sl]
+            psib[~inside] = ab[~inside] + t * outside
             s, (inv, T, B) = solve(s0, t, s0, partial(evaluate, d2=d2))
             d = d[inside]
             vb[inside] = np.sqrt(s)
@@ -184,29 +174,29 @@ def additive_profile(mu: SpectralMeasure, t: float, grid) -> AdditiveProfile:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0):
         raise ValidationError("grid must be strictly increasing with >= 2 points")
-    v, w, psi = _rows(mu, t, grid)
+    v, w, psi = _rows(mu, t, grid, "additive_profile")
     lo, hi = np.clip(_components(mu, t), grid[0], grid[-1])
     intervals = tuple((a, b) for a, b in zip(lo.tolist(), hi.tolist()) if a < b)
     return AdditiveProfile(mu, t, grid, v, w, psi, intervals)
 
 
 def _components(mu, t):
-    """Ends (lo, hi) of the components of {sum_j w_j/(a-x_j)^2 > 1/t}: the
-    outside interval of each kept gap between atoms, found through the slope
-    sum_j w_j/(a-x_j)^3, and the two outer ends, within sqrt(t) of the
-    extreme atoms (bracketed at 2 sqrt(t), clear of rounding)."""
+    """Ends (lo, hi) of the components of {I(a) > 1/t}, I(a) = sum_j
+    w_j/(a-x_j)^2: the outside interval of each kept gap between atoms and
+    the two outer ends, within sqrt(t) of the extreme atoms (bracketed at
+    2 sqrt(t), clear of rounding)."""
     x, wj, level = mu.locations, mu.weights, 1.0 / t
 
-    def slope(a):
+    def derivative(a):  # I' = -2 sum_j w_j/d_j^3 and I'' = 6 sum_j w_j/d_j^4
         d = a[:, None] - x
         inv = wj / d**3
-        return inv.sum(axis=1), -3.0 * (inv / d).sum(axis=1)
+        return -2.0 * inv.sum(axis=1), 6.0 * (inv / d).sum(axis=1)
 
     indicator = partial(_sum_inv_sq, mu)
-    k, m = outside_gaps(indicator, level, slope, x[:-1], x[1:], wj[:-1], wj[1:])
+    k, m = outside_gaps(indicator, derivative, level, x[:-1], x[1:], wj[:-1], wj[1:])
     r, n = 2.0 * np.sqrt(t), len(k)
     ends = refine_endpoints(
-        indicator, lambda a: -2.0 * slope(a)[0], level,
+        indicator, derivative, level,
         np.concatenate((x[k], x[k + 1], x[[0, -1]])),
         np.concatenate((m, m, [x[0] - r, x[-1] + r])),
     )
@@ -221,7 +211,7 @@ def total_mass(profile: AdditiveProfile) -> float:
     mu, t = profile.measure, profile.t
 
     def f(a):
-        v, w, _ = _rows(mu, t, a)
+        v, w, _ = _rows(mu, t, a, "total_mass")
         return 2.0 * v * w
 
     # (-1, 2): a grid clear of the support keeps no interval, and mass 0

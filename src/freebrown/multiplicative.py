@@ -31,17 +31,20 @@ density in polar coordinates is w_t(theta)/r^2 with
 where m_t(theta) = 2 sum_j w_j r sin u_j / D_j and phi(theta) =
 theta + (t/2) m_t(theta) is the continuous boundary angle map; r_t'(theta)
 enters dm_t/dtheta through implicit differentiation of the defining
-identity, so no finite differences appear. One function of (p, x)
-(``_tables``) gives f, its u-slope and the iota tables at each Newton
-iterate; the package evaluates f nowhere else, so the direct sum in r above
-stays free to check the roots. The Haar measure short-circuits every
+identity, so no finite differences appear. The iota sums come from the
+additive's kernel (``_boundary.stieltjes``), given the denominators
+(p + q4_j)/(4 + p); the Newton step of ``_rows`` forms f and its u-slope
+from them, and the package evaluates f nowhere else, so the direct sum in r
+above stays free to check the roots. The Haar measure short-circuits every
 formula: r_t = exp(-t/2), phi = theta, w_t = 1/(2 pi t).
 
 Everything is formed from u (p = 4 expm1(u), x = 2 asinh(sqrt(expm1 u))),
 exact where the float r = e^{-x} cannot carry 1 - r. One pass over each block
-of angles (``_rows``) serves the support test, the r_t solve and the rows;
-every public function of them is a column of that pass. Times past T_MAX are
-refused: there e^{-x} underflows for some root x = -log r_t.
+of angles (``_rows``) serves the support test (``_boundary.support``, with
+q4_j in place of the additive's (a - x_j)^2 and p_0 its start), the r_t
+solve and the rows; every public function of them is a column of that
+pass. Times past T_MAX are refused: there e^{-x} underflows for some root
+x = -log r_t.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ from ._boundary import (
     refine_endpoints,
     require_finite,
     solve,
+    stieltjes,
+    support,
 )
 from .errors import ValidationError
 from .measures import SpectralMeasure, reflect_circle_measure
@@ -98,27 +103,6 @@ def _log_g_slope(x, p, tau):
         return np.where(small, series, 2.0 / p - 1.0 / (x * tau))
 
 
-def _tables(p, x, q4, wj):
-    """(iota, kappa, S_iota, S_kappa, f, d ln f/du) at p = 4 sinh^2(x/2), one
-    row per angle of a Newton iterate of the r_t solve in ``_rows``:
-    iota_j = w_j (4 + p)/(p + q4_j), kappa_j = iota_j (4 + p)/(p + q4_j),
-    f = tanh(x/2)/(2x) S_iota and d ln f/du = d ln g/du + 1 - S_kappa/S_iota,
-    as d iota_j/du = iota_j (q4_j - 4)/(p + q4_j). Both tables tend to w_j
-    as p grows, where w_j/(p + q4_j)^2 underflows (past t ~ 700)."""
-    a = 1.0 / (4.0 + p)
-    R = q4 * a[:, None]
-    R += (p * a)[:, None]
-    iota = wj / R
-    kappa = np.divide(iota, R, out=R)
-    S_i, S_k = iota.sum(axis=1), kappa.sum(axis=1)
-    tau = np.tanh(0.5 * x)
-    if (x > 0.0).all():
-        g = tau / (2.0 * x)
-    else:  # g(0) = 1/4
-        g = np.divide(tau, 2.0 * x, out=np.full_like(x, 0.25), where=x > 0.0)
-    return iota, kappa, S_i, S_k, g * S_i, _log_g_slope(x, p, tau) + 1.0 - S_k / S_i
-
-
 def f_limit_at_circle(mu_bar: SpectralMeasure, theta) -> np.ndarray:
     """f(1-, theta) = sum_j w_j / (4 sin^2(u_j/2)); +inf at atom angles.
 
@@ -146,15 +130,20 @@ def r_t(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
 def _rows(mu_bar, t, thetas, what="r_t"):
     """(r, phi, w, m) at every angle, one ``blocks`` slice at a time.
 
-    Each block builds sin h_j, h_j = u_j/2, and q4_j = 4 sin^2 h_j once, for
-    the support test f(1-, theta) = sum_j w_j/q4_j > 1/t, the solve and the
-    rows; cos h_j comes by angle addition from theta/2 and beta_j/2.
+    Each block builds sin h_j, h_j = u_j/2, q4_j = 4 sin^2 h_j and sin u_j
+    once, for the support test, the solve and the rows; cos h_j comes by
+    angle addition from theta/2 and beta_j/2.
 
-    r_t comes from bracketed Newton on 1/f = t in u from u_0 = log(1 + p_0/4),
-    p_0 = max(0, max_j(t w_j - q4_j)), below the root since sinh(x)/x >= 1 and
-    one term alone reaches 1/t there, up to u at x_hi = t/4 + sqrt(t^2/16 + t):
-    D >= (1-r)^2 gives f <= 1/(2x tanh(x/2)), and tanh y >= y/(1+y) bounds
-    that by (2+x)/(2x^2) <= 1/t for x >= x_hi.
+    r_t comes from bracketed Newton on 1/f = t in u, from u_0 = log(1 + p_0/4)
+    with ``support``'s p_0 (below the root since sinh(x)/x >= 1), up to u at
+    x_hi = t/4 + sqrt(t^2/16 + t): D >= (1-r)^2 gives f <= 1/(2x tanh(x/2)),
+    and tanh y >= y/(1+y) bounds that by (2+x)/(2x^2) <= 1/t for x >= x_hi.
+    Each iterate gives ``stieltjes`` the denominators (p + q4_j)/(4 + p), so
+    its tables are iota_j = w_j (4 + p)/(p + q4_j) and kappa_j = iota_j (4 +
+    p)/(p + q4_j), both tending to w_j as p grows, where w_j/(p + q4_j)^2
+    underflows (past t ~ 700). Then f = g S_iota, g = tanh(x/2)/(2x), and
+    d ln f/du = d ln g/du + 1 - S_kappa/S_iota, as d iota_j/du = iota_j
+    (q4_j - 4)/(p + q4_j).
 
     The rows read the tables of the solve's last evaluation, made at the
     roots: m = 2 sum_j iota_j sin u_j/(4 + p), sin u = 2 sin h cos h, and w
@@ -163,7 +152,7 @@ def _rows(mu_bar, t, thetas, what="r_t"):
     kappa_j sin u_j/((4 + p) S_iota). phi is the continuous representative
     (a finite sum of continuous terms, not a principal-branch argument).
     Outside U_t (x = 0, r = 1) phi and m are the unit-circle continuations,
-    from the support test's table w_j/q4_j, and w = 0.
+    from ``support``'s outside row sum_j w_j sin u_j/q4_j, and w = 0.
     """
     mu_bar.require_circle(what)
     _check_time(t)
@@ -173,16 +162,25 @@ def _rows(mu_bar, t, thetas, what="r_t"):
         w = np.full_like(th, 1.0 / (2.0 * np.pi * t))
         return r, th.copy(), w, np.zeros_like(th)
     target, half = 1.0 / t, 0.5 * mu_bar.locations
-    wj, tw, cb, sb = mu_bar.weights[None, :], t * mu_bar.weights, np.cos(half), np.sin(half)
+    wj, cb, sb = mu_bar.weights[None, :], np.cos(half), np.sin(half)
     u_hi = math.log1p(math.sinh(0.125 * t + 0.5 * math.sqrt(t * t / 16.0 + t)) ** 2)
 
     def evaluate(u, q4):
         e = np.expm1(u)
         p, x = 4.0 * e, 2.0 * np.arcsinh(np.sqrt(e))
-        *tables, f, slope = _tables(p, x, q4, wj)
+        a = 1.0 / (4.0 + p)
+        R = q4 * a[:, None]
+        R += (p * a)[:, None]
+        iota, kappa, S_i, S_k = stieltjes(R, wj)
+        tau = np.tanh(0.5 * x)
+        if (x > 0.0).all():
+            g = tau / (2.0 * x)
+        else:  # g(0) = 1/4
+            g = np.divide(tau, 2.0 * x, out=np.full_like(x, 0.25), where=x > 0.0)
+        f, slope = g * S_i, _log_g_slope(x, p, tau) + 1.0 - S_k / S_i
         # u > 0: a point inside U_t never freezes at r = 1
         done = (np.abs(f - target) <= RESIDUAL_REL * target) & (u > 0.0)
-        return done, f > target, u + (1.0 - t * f) / slope, (p, x, *tables, slope)
+        return done, f > target, u + (1.0 - t * f) / slope, (a, p, x, iota, kappa, S_i, S_k, slope)
 
     r, m, w = np.ones_like(th), np.empty_like(th), np.zeros_like(th)
     # +inf at an atom, and at extreme t tables past the floats: the rows
@@ -197,18 +195,13 @@ def _rows(mu_bar, t, thetas, what="r_t"):
             ch = 2.0 * np.cos(ht) * cb
             ch -= 2.0 * np.sin(ht) * sb
             su *= ch
-            inv = np.divide(wj, q4, out=ch)
-            inside = inv.sum(axis=1) > target
-            rb, mb, wb, out = r[sl], m[sl], w[sl], ~inside
-            mb[out] = 2.0 * (inv[out] * su[out]).sum(axis=1)
-            del ch, inv  # as in the additive, each table is freed once done with
-            q4 = q4[inside]
-            p0 = np.maximum(0.0, np.max(tw - q4, axis=1))
-            _, (p, x, iota, kappa, S_i, S_k, slope) = solve(
+            inside, outside, q4, p0 = support(t, wj, q4, su)
+            rb, mb, wb = r[sl], m[sl], w[sl]
+            mb[~inside] = 2.0 * outside
+            _, (a, p, x, iota, kappa, S_i, S_k, slope) = solve(
                 0.0, u_hi, np.log1p(0.25 * p0), partial(evaluate, q4=q4)
             )
             su = su[inside]
-            a = 1.0 / (4.0 + p)
             mb[inside] = 2.0 * a * np.multiply(iota, su, out=iota).sum(axis=1)
             # S_E = sum_j w_j (4 + p) sin u_j/(p + q4_j)^2 = -S_iota (d ln f/dtheta)/2
             S_E = a * np.multiply(kappa, su, out=kappa).sum(axis=1)
@@ -290,19 +283,19 @@ def multiplicative_profile(mu: SpectralMeasure, t: float, n_theta: int) -> Multi
         raise ValidationError("n_theta must be >= 16")
     thetas = np.linspace(-np.pi, np.pi, n_theta + 1)[1:]
 
-    r, phi, w, _ = _rows(reflect_circle_measure(mu), t, thetas)
+    r, phi, w, _ = _rows(reflect_circle_measure(mu), t, thetas, "multiplicative_profile")
     return MultiplicativeProfile(
         mu, t, thetas, r, phi, w, _arg_density(r, w), _u_components(mu, t)
     )
 
 
 def _u_components(mu, t):
-    """Arcs of U_t = {f(1-, theta) > 1/t} in (-pi, pi]: the outside arc of
-    each kept gap between atom angles comes from the slope
-    sum_j w_j cos(h_j)/sin(h_j)^3, h_j = (theta - alpha_j)/2. The last gap
-    runs from alpha_K to alpha_1 + 2 pi; the one bracket of its ends that
-    crosses the cut is cut at pi, on the side where the sign changes, so
-    every end is refined in (-pi, pi]."""
+    """Arcs of U_t = {I(theta) > 1/t} in (-pi, pi], I = f(1-, theta) =
+    sum_j w_j/(4 s_j^2), s_j = sin h_j, c_j = cos h_j, h_j = (theta -
+    alpha_j)/2: the outside arc of each kept gap between atom angles. The
+    last gap runs from alpha_K to alpha_1 + 2 pi; the one bracket of its
+    ends that crosses the cut is cut at pi, on the side where the sign
+    changes, so every end is refined in (-pi, pi]."""
     if mu.is_haar:
         return ((-np.pi, np.pi),)
     mu_bar, alpha, level = reflect_circle_measure(mu), mu.locations, 1.0 / t
@@ -311,21 +304,21 @@ def _u_components(mu, t):
     def indicator(th):  # th - 2 pi is exact for th in [pi, 4 pi]
         return f_limit_at_circle(mu_bar, np.where(th > np.pi, th - 2.0 * np.pi, th))
 
-    def slope(th):
+    def derivative(th):  # I' = -sum_j w_j c_j/(4 s_j^3), I'' = sum_j w_j (1 + 2 c_j^2)/(8 s_j^4)
         h = 0.5 * (th[:, None] + mu_bar.locations)
         s, c = np.sin(h), np.cos(h)
         q = mu_bar.weights / s**3
-        return (q * c).sum(axis=1), -0.5 * (q * (1.0 + 2.0 * c * c) / s).sum(axis=1)
+        return -0.25 * (q * c).sum(axis=1), 0.125 * (q * (1.0 + 2.0 * c * c) / s).sum(axis=1)
 
     # a lone atom ends its own gap on both sides, half its weight at each
     w = mu.weights / (2.0 if len(alpha) == 1 else 1.0)
-    k, m = outside_gaps(indicator, level, slope, alpha, right, w, np.roll(w, -1))
+    k, m = outside_gaps(indicator, derivative, level, alpha, right, w, np.roll(w, -1))
     # rows: the inside and the outside end of each bracket
     brackets = np.array([np.concatenate((alpha[k], right[k])), np.concatenate((m, m))])
     cross = (brackets.min(axis=0) < np.pi) & (brackets.max(axis=0) > np.pi)
     brackets[0 if indicator(np.array([np.pi]))[0] > level else 1, cross] = np.pi
     brackets[:, brackets.max(axis=0) > np.pi] -= 2.0 * np.pi
-    ends = refine_endpoints(indicator, lambda th: -0.25 * slope(th)[0], level, *brackets)
+    ends = refine_endpoints(indicator, derivative, level, *brackets)
     n, arcs = len(k), []
     # the arc before kept gap i starts where the outside arc of gap i-1 ends
     for lo, hi in zip(np.roll(ends[n:], 1).tolist(), ends[:n].tolist()):
@@ -346,7 +339,7 @@ def total_mass(profile: MultiplicativeProfile) -> float:
     mu_bar, t = reflect_circle_measure(profile.measure), profile.t
 
     def f(th):
-        r, _, w, _ = _rows(mu_bar, t, th)
+        r, _, w, _ = _rows(mu_bar, t, th, "total_mass")
         return _arg_density(r, w)
 
     lo, hi = np.transpose(profile.u_components)

@@ -330,23 +330,25 @@ def test_check_haar_gate(tmp_path, capsys, t, code):
         assert captured.err == ""
 
 
-@pytest.mark.parametrize("flow,sub,doc,t", [
-    ("additive", "density", DELTA0, "1e-300"),
-    ("additive", "density", DELTA0, "1e300"),
-    ("additive", "law", DELTA0, "1e-300"),
-    ("mult", "density", CIRCLE, "1e-300"),
+@pytest.mark.parametrize("flow,sub,doc,t,called", [
+    ("additive", "density", DELTA0, "1e-300", "additive_profile"),
+    ("additive", "density", DELTA0, "1e300", "additive_profile"),
+    ("additive", "law", DELTA0, "1e-300", "additive_profile"),
+    ("mult", "density", CIRCLE, "1e-300", "total_mass"),
 ], ids=["additive-density-1e-300", "additive-density-1e300", "additive-law-1e-300",
         "mult-density-1e-300"])
-def test_extreme_time_exit_code(tmp_path, capsys, flow, sub, doc, t):
+def test_extreme_time_exit_code(tmp_path, capsys, flow, sub, doc, t, called):
     """At a t so small or so large that the row tables leave the floats the
     rows are not finite: exit 3 with one JSON error and no RuntimeWarning
-    (an error in this suite). The law, which does not write w, exits 3 too."""
+    (an error in this suite). The law, which does not write w, exits 3 too.
+    The error names the package function the command called: on the circle
+    the profile's rows are finite and the mass integral's are not."""
     mpath = write_measure(tmp_path, doc, "m.json")
     argv = [flow, sub, "--measure", mpath, "--t", t, "--out", str(tmp_path / "x.csv")]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert json.loads(err)["error"].endswith(f"non-finite rows at t={float(t):g}")
+    assert json.loads(err)["error"] == f"{called}: non-finite rows at t={float(t):g}"
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -8,7 +8,7 @@ from _cumulants import (
 from _moments import pushforward_moments
 from _oracle import k_fold_measure
 from _transforms import T_of_lambda, f_value, phi_map
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freebrown.cli import write_rows
@@ -317,12 +317,22 @@ def test_mass_property_random_measures(atoms, t):
     assert abs(got[1] - want[1]) <= 1e-8
 
 
+_DENSE = np.random.default_rng(1)
+#: 200 uniform(-pi, pi) atom angles with Dirichlet(1) weights
+DENSE_CIRCLE = SpectralMeasure.circle_atomic(
+    _DENSE.uniform(-np.pi, np.pi, 200), _DENSE.dirichlet(np.ones(200))
+)
+
+
 @settings(max_examples=10, deadline=None)
 @given(circle_measures(), st.floats(0.05, 2.5))
+@example(DENSE_CIRCLE, 1e-4)
+@example(DENSE_CIRCLE, 1e-3)
 def test_pushforward_moments_random_measures(mu, t):
     """tau((u u_t)^k) for k <= 6: the push-forward's moments against the sum
     over NC(k) of u's free cumulants and the Kreweras complement's moments of
-    u_t, on random 1-4-atom unitaries. The moments integrate over the exact
+    u_t, on random 1-4-atom unitaries and, as examples, a 200-atom one at
+    small t, with well over 100 arcs. The moments integrate over the exact
     arcs, not the angle grid, so 16 angles do and t may be small. On 60
     random draws the errors read up to 3e-13, while on those with 2-4 atoms
     the moments of u* u_t (a reflection error) miss by at least 0.067."""
