@@ -185,7 +185,8 @@ def outside_gaps(indicator, derivative, level, left, right, w_left, w_right):
     tangency stays inside)."""
     length = right - left
     cl, cr = np.cbrt(w_left), np.cbrt(w_right)
-    i = np.flatnonzero(~((cl + cr) ** 3 > level * length**2))
+    with np.errstate(over="ignore"):  # level L^2 past the floats: +inf, solve the gap
+        i = np.flatnonzero(~((cl + cr) ** 3 > level * length**2))
     lo, hi, tol = left[i], right[i], GAP_STEP_REL * length[i]
     first = lo + length[i] * cl[i] / (cl[i] + cr[i])  # the two-atom minimiser
 

@@ -32,13 +32,14 @@ Newton iterate are the ones the multiplicative flow uses too
 (``_boundary.support`` and ``_boundary.stieltjes``). The rows read the
 Newton step's last tables, at the roots: B = sum_j w_j/D_j^2 = -dS/ds is
 also the denominator of d(v_t^2)/da. The Brown mass (``total_mass``) is the
-integral of the one density 2 v_t w_t over the exact support intervals.
+integral of the one density 2 v_t w_t over the exact support intervals,
+which a profile computes from the atoms and t when they are first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -151,7 +152,7 @@ def density_w(mu: SpectralMeasure, t: float, a: float) -> float:
 
 @dataclass(frozen=True)
 class AdditiveProfile:
-    """Grid evaluation of (v_t, w_t, psi_t) plus the refined support set."""
+    """Grid evaluation of (v_t, w_t, psi_t); the support set on first read."""
 
     measure: SpectralMeasure
     t: float
@@ -159,25 +160,25 @@ class AdditiveProfile:
     v: np.ndarray
     w: np.ndarray
     psi: np.ndarray
-    support_intervals: tuple
+
+    @cached_property
+    def support_intervals(self) -> tuple:
+        """The exact components of {v_t > 0}, at most one per atom, from the
+        atoms and t alone, clipped to [grid[0], grid[-1]]: an interval cut by
+        the clip keeps the grid edge, since the support goes on past it, and
+        one clear of the grid is dropped. Computed on first read."""
+        lo, hi = np.clip(_components(self.measure, self.t), self.grid[0], self.grid[-1])
+        return tuple((a, b) for a, b in zip(lo.tolist(), hi.tolist()) if a < b)
 
 
 def additive_profile(mu: SpectralMeasure, t: float, grid) -> AdditiveProfile:
-    """Evaluate the profile on a strictly increasing grid.
-
-    The support intervals are the exact components of {v_t > 0}, at most
-    one per atom, clipped to [grid[0], grid[-1]]: an interval cut by the
-    clip keeps the grid edge, since the support goes on past it.
-    """
+    """The rows (v_t, w_t, psi_t) on a strictly increasing grid."""
     mu.require_real("additive_profile")
     check_time(t)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0):
         raise ValidationError("grid must be strictly increasing with >= 2 points")
-    v, w, psi = _rows(mu, t, grid, "additive_profile")
-    lo, hi = np.clip(_components(mu, t), grid[0], grid[-1])
-    intervals = tuple((a, b) for a, b in zip(lo.tolist(), hi.tolist()) if a < b)
-    return AdditiveProfile(mu, t, grid, v, w, psi, intervals)
+    return AdditiveProfile(mu, t, grid, *_rows(mu, t, grid, "additive_profile"))
 
 
 def _components(mu, t):
@@ -217,10 +218,3 @@ def total_mass(profile: AdditiveProfile) -> float:
     # (-1, 2): a grid clear of the support keeps no interval, and mass 0
     lo, hi = np.reshape(profile.support_intervals, (-1, 2)).T
     return float(integrate_adaptive(f, lo, hi).sum())
-
-
-def support_sidecar(profile: AdditiveProfile) -> dict:
-    return {
-        "t": profile.t,
-        "intervals": [[lo, hi] for lo, hi in profile.support_intervals],
-    }

@@ -120,13 +120,14 @@ def _run_additive(args):
         write_rows(
             args.out, ["a", "v", "w", "psi"], [profile.grid, profile.v, profile.w, profile.psi]
         )
-        _write_json(f"{args.out}.intervals.json", additive.support_sidecar(profile))
+        intervals = profile.support_intervals  # cached by the mass; JSON writes tuples as lists
+        _write_json(f"{args.out}.intervals.json", {"t": args.t, "intervals": intervals})
         max_w = float(np.max(profile.w))
         bound = 2.0 / (np.pi * args.t)
         print(
             f"additive-density: mass={mass:.9f} (target 1+-{MASS_TOL:g}) "
             f"max_w={max_w:.6g} bound={bound:.6g} "
-            f"intervals={len(profile.support_intervals)}"
+            f"intervals={len(intervals)}"
         )
     else:  # additive-law
         hit = profile.v > 0.0
@@ -147,7 +148,7 @@ def _run_mult(args):
             args.out, ["theta", "r", "phi", "w", "arg_density"],
             [profile.thetas, profile.r, profile.phi, profile.w, profile.arg_density],
         )
-        _write_json(f"{args.out}.arcs.json", multiplicative.arcs_sidecar(profile))
+        _write_json(f"{args.out}.arcs.json", {"t": args.t, "arcs": profile.u_components})
         max_w = float(np.max(profile.w))
         bound = 1.0 / (np.pi * args.t)
         print(

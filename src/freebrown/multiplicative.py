@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -250,11 +250,8 @@ def density_w_theta(mu_bar: SpectralMeasure, t: float, theta: float) -> float:
 
 @dataclass(frozen=True)
 class MultiplicativeProfile:
-    """Per-angle rows (theta, r, phi, w, arg_density) plus the U_t arcs.
+    """Per-angle rows (theta, r, phi, w, arg_density); the U_t arcs on first read.
 
-    ``u_components`` are the exact arcs of U_t (at most K + 1, whatever the
-    angle grid) within (-pi, pi]: a component crossing the cut at +-pi shows
-    up as two arcs, the full circle (e.g. Haar) as the single arc (-pi, pi).
     Rows with r = 1 sit outside U_t: w and arg_density are 0 there and phi
     holds the boundary continuation of the angle map. ``measure`` is the
     unitary's own measure; the rows integrate against its reflection,
@@ -268,7 +265,14 @@ class MultiplicativeProfile:
     phi: np.ndarray
     w: np.ndarray
     arg_density: np.ndarray
-    u_components: tuple
+
+    @cached_property
+    def u_components(self) -> tuple:
+        """The exact arcs of U_t (at most K + 1), from the atoms and t alone,
+        within (-pi, pi]: a component crossing the cut at +-pi shows up as
+        two arcs, the full circle (e.g. Haar) as the single arc (-pi, pi).
+        Computed on first read."""
+        return _u_components(self.measure, self.t)
 
 
 def multiplicative_profile(mu: SpectralMeasure, t: float, n_theta: int) -> MultiplicativeProfile:
@@ -284,9 +288,7 @@ def multiplicative_profile(mu: SpectralMeasure, t: float, n_theta: int) -> Multi
     thetas = np.linspace(-np.pi, np.pi, n_theta + 1)[1:]
 
     r, phi, w, _ = _rows(reflect_circle_measure(mu), t, thetas, "multiplicative_profile")
-    return MultiplicativeProfile(
-        mu, t, thetas, r, phi, w, _arg_density(r, w), _u_components(mu, t)
-    )
+    return MultiplicativeProfile(mu, t, thetas, r, phi, w, _arg_density(r, w))
 
 
 def _u_components(mu, t):
@@ -401,7 +403,3 @@ def haar_annulus_check(t: float) -> AnnulusCheck:
     # 16 angles, the fewest a profile takes: the Haar rows do not depend on theta
     cdf_num = radius_cdf(multiplicative_profile(SpectralMeasure.haar(), t, 16), radii)
     return AnnulusCheck(t, radii, cdf_s, cdf_num, float(np.max(np.abs(cdf_s - cdf_num))))
-
-
-def arcs_sidecar(profile: MultiplicativeProfile) -> dict:
-    return {"t": profile.t, "arcs": [[lo, hi] for lo, hi in profile.u_components]}

@@ -8,12 +8,13 @@ from _transforms import subordination_H
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from freebrown import additive
+from freebrown._boundary import RESIDUAL_REL
 from freebrown.additive import (
     additive_profile,
     density_w,
     density_w_array,
     psi_t,
-    support_sidecar,
     total_mass,
     v_t,
 )
@@ -66,6 +67,30 @@ def test_v_residual_identity(mu, t, a):
     if v > 0:
         resid = np.sum(mu.weights / ((a - mu.locations) ** 2 + v * v)) - 1.0 / t
         assert abs(resid) <= 1e-10 / t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-2, 2), st.floats(0.01, 3), st.floats(0.05, 0.95), st.floats(1e-3, 3.0))
+def test_two_atom_v_closed_form(x1, gap, w1, t):
+    """Two atoms: with A = (a-x1)^2, B = (a-x2)^2, s = v^2 solves
+    s^2 + (A+B-t) s + AB - t (w1 B + w2 A) = 0, and a is inside when the
+    constant term is < 0; the positive root, free of cancellation. The solve
+    stops at |S - 1/t| <= RESIDUAL_REL/t, and -dS/ds = sum_j w_j/D_j^2 >= S^2
+    (Cauchy-Schwarz), so s is within about RESIDUAL_REL t: an absolute bound,
+    as the relative error grows near the ends, where s tends to 0."""
+    mu = SpectralMeasure.real_atomic([x1, x1 + gap], [w1, 1.0 - w1])
+    (x1, x2), (w1, w2) = mu.locations, mu.weights
+    r = 2.0 * np.sqrt(t)
+    a = np.concatenate((np.linspace(x1 - r, x2 + r, 101), mu.locations))
+    A, B = (a - x1) ** 2, (a - x2) ** 2
+    b, c = A + B - t, A * B - t * (w1 * B + w2 * A)
+    inside = c < 0.0
+    b, c = b[inside], c[inside]
+    root = np.sqrt(b * b - 4.0 * c)  # > |b|
+    s = np.zeros_like(a)
+    s[inside] = np.where(b > 0.0, -2.0 * c / (b + root), 0.5 * (root - b))
+    v = additive._rows(mu, t, a)[0]
+    assert np.max(np.abs(v * v - s)) <= 2.0 * RESIDUAL_REL * t
 
 
 # -- H_t and psi_t ----------------------------------------------------------------
@@ -337,6 +362,4 @@ def test_csv_and_sidecar(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "a,v,w,psi"
     assert len(lines) == 102
-    side = support_sidecar(prof)
-    assert side["t"] == 1.0
-    assert len(side["intervals"]) == 1
+    assert len(prof.support_intervals) == 1

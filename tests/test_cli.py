@@ -45,6 +45,7 @@ def test_additive_density_run(tmp_path, capsys):
     assert lines[0] == "a,v,w,psi"
     assert len(lines) == 802
     side = json.loads((tmp_path / "prof.csv.intervals.json").read_text())
+    assert side["t"] == 1.0
     assert side["intervals"][0] == pytest.approx([-1.0, 1.0], abs=1e-10)
     manifest = json.loads((tmp_path / "prof.csv.manifest.json").read_text())
     assert manifest["config"]["command"] == "additive-density"
@@ -87,6 +88,7 @@ def test_mult_density_run(tmp_path, capsys):
     )
     assert code == 0
     side = json.loads((tmp_path / "mprof.csv.arcs.json").read_text())
+    assert side["t"] == 0.8
     assert len(side["arcs"]) == 2
     assert "mass=1.000000" in capsys.readouterr().out
 
@@ -350,6 +352,64 @@ def test_extreme_time_exit_code(tmp_path, capsys, flow, sub, doc, t, called):
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == f"{called}: non-finite rows at t={float(t):g}"
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_wide_gap_exit_code(tmp_path, capsys):
+    """Atoms 1e100 apart at t = 1e-120: level * L^2 in the gap skip test
+    overflows to +inf, which reads as "solve this gap", without a
+    RuntimeWarning (an error in this suite). The gap's solve then fails:
+    exit 3 with one JSON error."""
+    wide = {"kind": "real-atomic", "atoms": [{"x": 0.0, "w": 0.5}, {"x": 1e100, "w": 0.5}]}
+    mpath = write_measure(tmp_path, wide, "wide.json")
+    argv = ["additive", "density", "--measure", mpath, "--t", "1e-120", "--grid=-4:4:801",
+            "--out", str(tmp_path / "wide.csv")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert list(json.loads(err)) == ["error"]
+
+
+def test_only_density_runs_compute_components(tmp_path, monkeypatch, capsys):
+    """The exact support components come from the atoms and t alone, and a
+    profile computes them on first read: a density run once (its mass,
+    sidecar and summary read them), every other command never."""
+    from freebrown import additive, multiplicative
+
+    calls = {}
+
+    def count(flow, name):
+        real = getattr(flow, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(flow, name, counted)
+
+    count(additive, "_components")
+    count(multiplicative, "_u_components")
+    line = write_measure(tmp_path, TWO_ATOM, "two.json")
+    circle = write_measure(tmp_path, CIRCLE, "c.json")
+    eig, meig, out = (str(tmp_path / name) for name in ("eig.csv", "meig.csv", "out.csv"))
+    assert main(["simulate", "additive", "--measure", line, "--t", "0.5", "--n", "20",
+                 "--seed", "1", "--out", eig]) == 0
+    assert main(["simulate", "mult", "--measure", circle, "--t", "0.8", "--n", "20",
+                 "--steps", "100", "--seed", "1", "--out", meig]) == 0
+    compare = ["compare", "--measure", circle, "--n-theta", "181", "--spectrum", meig]
+    runs = [
+        (["additive", "law", "--measure", line, "--t", "0.5", "--out", out], 0, 0),
+        (["mult", "law", "--measure", circle, "--t", "0.8", "--out", out], 0, 0),
+        (["compare", "--spectrum", eig, "--measure", line, "--marginal", "real-part"], 0, 0),
+        (compare + ["--marginal", "argument"], 0, 0),
+        (compare + ["--marginal", "radius"], 0, 0),
+        (["check", "haar", "--t", "1"], 0, 0),
+        (["additive", "density", "--measure", line, "--t", "0.5", "--out", out], 1, 0),
+        (["mult", "density", "--measure", circle, "--t", "0.8", "--out", out], 0, 1),
+    ]
+    for argv, line_calls, circle_calls in runs:
+        calls.update(_components=0, _u_components=0)
+        assert main(argv) == 0, argv
+        assert calls == {"_components": line_calls, "_u_components": circle_calls}, argv
 
 
 def test_mass_gate_grid_misses_support(tmp_path, capsys):

@@ -15,7 +15,6 @@ from freebrown.cli import write_rows
 from freebrown.errors import NumericalError, ValidationError
 from freebrown.measures import SpectralMeasure, reflect_circle_measure
 from freebrown.multiplicative import (
-    arcs_sidecar,
     density_w_theta,
     f_limit_at_circle,
     haar_annulus_check,
@@ -467,6 +466,4 @@ def test_csv_and_sidecar(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "theta,r,phi,w,arg_density"
     assert len(lines) == 65
-    side = arcs_sidecar(prof)
-    assert side["t"] == 1.0
-    assert len(side["arcs"]) == 1
+    assert len(prof.u_components) == 1

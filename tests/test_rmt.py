@@ -514,9 +514,7 @@ def test_compare_mismatches(additive_delta0_spectrum_1000):
 def test_compare_empty_grid_guard(additive_delta0_spectrum_1000):
     from freebrown.additive import AdditiveProfile
 
-    empty = AdditiveProfile(
-        D0, 1.0, np.empty(0), np.empty(0), np.empty(0), np.empty(0), ()
-    )
+    empty = AdditiveProfile(D0, 1.0, np.empty(0), np.empty(0), np.empty(0), np.empty(0))
     with pytest.raises(ValidationError, match="^empty profile grid$"):
         compare_marginal(additive_delta0_spectrum_1000, empty, "real-part")
 
