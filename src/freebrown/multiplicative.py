@@ -364,11 +364,13 @@ def radius_cdf(profile: MultiplicativeProfile, radii: np.ndarray) -> np.ndarray:
     """
     hit = profile.r < 1.0
     log_rt = np.log(profile.r[hit])
-    inv_rt = 1.0 / profile.r[hit]
+    log_inv_rt = np.log(1.0 / profile.r[hit])
+    log_rho = np.log(radii)
     wt = profile.w[hit]
     cdf = np.empty(len(radii))
     for rows in blocks(len(radii), len(profile.thetas)):
-        gain = np.log(np.minimum(radii[rows, None], inv_rt))
+        # log is monotone, so min(log rho, log(1/r_t)) is log(min(rho, 1/r_t))
+        gain = np.minimum(log_rho[rows, None], log_inv_rt)
         gain -= log_rt
         np.maximum(gain, 0.0, out=gain)
         cdf[rows] = np.multiply(gain, wt, out=gain).sum(axis=1)

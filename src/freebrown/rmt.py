@@ -7,11 +7,12 @@ imaginary parts independent with variance t/2n each).
 Multiplicative model: a unitary initial condition times the geometric Euler
 discretization G <- G exp(dZ_k) of dG = G dZ, with dZ_k independent complex
 Gaussian matrices of entry variance (t/steps)/n. The exponential keeps every
-step exactly invertible, so |det| bookkeeping stays multiplicative. One
-worker thread computes each step's exponential while the calling thread
-multiplies the step before into G; the products keep their step order, so
-the sample is the sequential loop's to the bit. One worker, not more, keeps
-the exponentials in step order and one step ahead at most.
+step exactly invertible, so |det| bookkeeping stays multiplicative. Each
+exponential is split in two stages: one worker thread builds the Taylor
+factors of step k+1 while the calling thread draws the increments, finishes
+E_k from its factors and multiplies it into G. Every operation keeps its
+step order, so the sample is the sequential loop's to the bit. One worker,
+not more, keeps the factors in step order and one step ahead at most.
 
 Sampling is bitwise deterministic per seed (numpy default_rng).
 """
@@ -99,6 +100,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     """Dense matrix exponential: scaling-and-squaring over the degree-12
     Taylor polynomial T_12 of ``_T12``, in four products (A^2, A^3, B_3^2 and
     the last); the B_i are one real contraction against [A, A^2, A^3].
+    ``_taylor_factors`` takes the first three, ``_taylor_finish`` the last
+    and the squarings, so the flow can run the two on different threads.
 
     s is the smallest scaling with alpha_2 / 2^s <= ``THETA_12``, where
     alpha_2 = max(||A^2||_1^(1/2), ||A^3||_1^(1/3)) bounds the Taylor tail
@@ -110,6 +113,12 @@ def expm(a: np.ndarray) -> np.ndarray:
     Raises ``NumericalError`` when ``a`` or the result has a NaN or
     infinite entry.
     """
+    return _taylor_finish(*_taylor_factors(a))
+
+
+def _taylor_factors(a: np.ndarray):
+    """(B, squarings) of ``expm(a)``: rows 0-2 of B hold B_0, B_1 + B_2'
+    and B_2' of T_12(A 2^(-pre-s)), and squarings is s + pre."""
     a = np.asarray(a)
     n = a.shape[0]
     powers = np.empty((3, n, n), dtype=complex)
@@ -133,10 +142,16 @@ def expm(a: np.ndarray) -> np.ndarray:
     b.reshape(4, -1)[:, :: n + 1] += _T12[:, :1]
     b[2] += b[3] @ b[3]
     b[1] += b[2]
-    e = b[1] @ b[2]
+    return b, s + pre
+
+
+def _taylor_finish(b: np.ndarray, squarings: int, out: np.ndarray | None = None) -> np.ndarray:
+    """E = (B_1 + B_2')B_2' + B_0 squared ``squarings`` times; E goes into
+    ``out`` when there are no squarings."""
+    e = np.matmul(b[1], b[2], out=out)
     e += b[0]
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        for _ in range(s + pre):
+        for _ in range(squarings):
             e = e @ e
     if not np.all(np.isfinite(e)):
         raise NumericalError("expm: result has non-finite entries")
@@ -184,13 +199,15 @@ def multiplicative_flow(mu: SpectralMeasure, n: int, t: float, steps: int, seed:
     The expected log|det| is sum_k Re tr dZ_k, since det exp(dZ) =
     exp(tr dZ) and |det U| = 1; it is what |det(U G)| must reproduce.
 
-    The exponentials run on one worker thread while this thread draws the
-    increments and multiplies G @ exp(dZ_k) in step order, so expm(dZ_{k+1})
-    overlaps the product of step k. The worker is one thread, never more:
-    it keeps the expm calls in step order and at most one exponential ahead
-    of the product, so the result is the sequential loop's, bit for bit.
-    A ``NumericalError`` of expm is raised here, after the worker has
-    stopped.
+    Each expm(dZ_k) runs in its two stages: one worker thread builds the
+    Taylor factors of dZ_{k+1} (``_taylor_factors``, 3 products) while this
+    thread draws the increments, finishes E_k from its factors into one
+    reused buffer (``_taylor_finish``) and multiplies G @ E_k, so each
+    thread takes about half of a step's 5 products. The worker is one
+    thread, never more: it builds the factors in step order and at most
+    one step ahead, so the result is the sequential loop's, bit for bit.
+    A ``NumericalError`` of either stage is raised here, after the worker
+    has stopped.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import
 
@@ -225,15 +242,16 @@ def multiplicative_flow(mu: SpectralMeasure, n: int, t: float, steps: int, seed:
             log_abs_det += float(np.trace(dz[k % 2]).real)
             yield dz[k % 2]
 
+    e = np.empty_like(g)  # E_k, finished on this thread
     with ThreadPoolExecutor(max_workers=1) as worker:
         todo = increments()
-        ahead = worker.submit(expm, next(todo))
-        for step in todo:  # drawn while the worker exponentiates the step before
-            e = ahead.result()
-            ahead = worker.submit(expm, step)
-            np.matmul(g, e, out=g_next)
+        ahead = worker.submit(_taylor_factors, next(todo))
+        for step in todo:  # drawn while the worker builds the step before's factors
+            factors = ahead.result()
+            ahead = worker.submit(_taylor_factors, step)
+            np.matmul(g, _taylor_finish(*factors, out=e), out=g_next)
             g, g_next = g_next, g
-        np.matmul(g, ahead.result(), out=g_next)
+        np.matmul(g, _taylor_finish(*ahead.result(), out=e), out=g_next)
     return u @ g_next, log_abs_det
 
 

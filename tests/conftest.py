@@ -1,8 +1,8 @@
 """Shared fixtures. The two multiplicative n=500/steps=500 samples dominate
-the suite's runtime (34-36 s each on a 2-core Xeon with the default BLAS
-threads, 42-43 s with one, nearly all of it the 500 expm calls and G @
-products), so they are computed once per session and shared between the
-rmt tests and the acceptance criteria."""
+the suite's runtime (the Haar one took 33-38 s on a 2-core Xeon with the
+default BLAS threads, 32-35 s with one, nearly all of it the 500
+exponentials and G @ products), so they are computed once per session and
+shared between the rmt tests and the acceptance criteria."""
 
 import numpy as np
 import pytest

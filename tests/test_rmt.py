@@ -223,11 +223,27 @@ def test_expm_prescales_huge_norms():
     assert np.array_equal(expm(a), np.eye(2) + a)
 
 
-def test_multiplicative_flow_matches_horner_flow(monkeypatch):
+def _sequential_flow(mu, n, t, steps, seed, exp):
+    """(U G, log|det|) of the plain loop G = G @ exp(dZ_k), one thread."""
+    rng = np.random.default_rng(seed)
+    if mu.is_haar:
+        u = haar_unitary(n, rng)
+    else:
+        u = np.diag(np.exp(1j * np.repeat(mu.locations, allocate_atom_counts(mu.weights, n))))
+    sd = math.sqrt(t / steps / (2.0 * n))
+    g = np.eye(n, dtype=complex)
+    logdet = 0.0
+    for _ in range(steps):
+        dz = sd * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        logdet += float(np.trace(dz).real)
+        g = g @ exp(dz)
+    return u @ g, logdet
+
+
+def test_multiplicative_flow_matches_horner_flow():
     haar = SpectralMeasure.haar()
     mat, logdet = multiplicative_flow(haar, 160, 1.0, 100, 3)
-    monkeypatch.setattr(rmt, "expm", lambda a: _horner_expm(a)[0])
-    ref, ref_logdet = multiplicative_flow(haar, 160, 1.0, 100, 3)
+    ref, ref_logdet = _sequential_flow(haar, 160, 1.0, 100, 3, lambda a: _horner_expm(a)[0])
     assert logdet == ref_logdet
     assert np.abs(mat - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(_eigvals(mat) - _eigvals(ref)).max() <= 1e-12
@@ -237,12 +253,13 @@ def test_multiplicative_flow_increments_bitwise(monkeypatch):
     # one (2, n, n) draw per step gives the increments of two (n, n) draws
     n, t, steps, seed = 24, 1.0, 100, 5
     seen = []
+    factors = rmt._taylor_factors
 
     def record(a):
         seen.append(a.copy())  # the flow draws later increments into the same buffers
-        return np.eye(n)
+        return factors(np.zeros((n, n)))  # E = I
 
-    monkeypatch.setattr(rmt, "expm", record)
+    monkeypatch.setattr(rmt, "_taylor_factors", record)
     _, logdet = multiplicative_flow(SpectralMeasure.haar(), n, t, steps, seed)
     rng = np.random.default_rng(seed)
     haar_unitary(n, rng)
@@ -257,45 +274,59 @@ def test_multiplicative_flow_increments_bitwise(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "mu",
-    [SpectralMeasure.haar(), SpectralMeasure.circle_atomic([0.4, -2.1], [0.3, 0.7])],
-    ids=["haar", "circle2"],
+    "mu, t, steps",
+    [
+        (SpectralMeasure.haar(), 0.9, 120),
+        (SpectralMeasure.circle_atomic([0.4, -2.1], [0.3, 0.7]), 0.9, 120),
+        (SpectralMeasure.haar(), 400.0, 100),
+    ],
+    ids=["haar", "circle2", "haar-squarings"],
 )
-def test_multiplicative_flow_is_the_sequential_product(mu):
+def test_multiplicative_flow_is_the_sequential_product(mu, t, steps):
     # the worker thread changes neither the draws nor the order of the products
-    n, t, steps, seed = 12, 0.9, 120, 8
+    n, seed = 12, 8
     mat, logdet = multiplicative_flow(mu, n, t, steps, seed)
-    rng = np.random.default_rng(seed)
-    if mu.is_haar:
-        u = haar_unitary(n, rng)
-    else:
-        u = np.diag(np.exp(1j * np.repeat(mu.locations, allocate_atom_counts(mu.weights, n))))
-    sd = math.sqrt(t / steps / (2.0 * n))
-    g = np.eye(n, dtype=complex)
-    ref_logdet = 0.0
-    for _ in range(steps):
-        dz = sd * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        ref_logdet += float(np.trace(dz).real)
-        g = g @ expm(dz)
-    assert np.array_equal(mat, u @ g)
+    alphas = []
+    ref, ref_logdet = _sequential_flow(
+        mu, n, t, steps, seed, lambda a: alphas.append(_alpha2(a)) or expm(a)
+    )
+    assert np.array_equal(mat, ref)
     assert logdet == ref_logdet
+    # alpha_2 > THETA_12 is s >= 1: at t = 400 every E_k is squared on the calling thread
+    assert (min(alphas) > THETA_12) == (t > 1.0)
 
 
-def test_multiplicative_flow_raises_expm_failure(monkeypatch):
+def _fail_flow_at_step_37(monkeypatch, stage):
+    """Run a flow whose ``stage`` raises on its 37th call; the call count."""
     calls = []
+    real = getattr(rmt, stage)
 
-    def failing(a):
+    def failing(*args, **kwargs):
         calls.append(1)
         if len(calls) == 37:
             raise NumericalError("expm: result has non-finite entries")
-        return expm(a)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(rmt, "expm", failing)
+    monkeypatch.setattr(rmt, stage, failing)
     threads = threading.active_count()
     with pytest.raises(NumericalError):
         multiplicative_flow(SpectralMeasure.haar(), 16, 1.0, 100, 2)
-    assert len(calls) == 37  # nothing ran past the failed step
     assert threading.active_count() == threads
+    return len(calls)
+
+
+def test_multiplicative_flow_raises_expm_failure(monkeypatch):
+    # the worker's factors of step 37 fail: nothing runs past the failed step
+    assert _fail_flow_at_step_37(monkeypatch, "_taylor_factors") == 37
+
+
+def test_multiplicative_flow_raises_finish_failure(monkeypatch):
+    # E_37 fails on the calling thread: the worker is one step ahead at most
+    calls = []
+    factors = rmt._taylor_factors
+    monkeypatch.setattr(rmt, "_taylor_factors", lambda a: calls.append(1) or factors(a))
+    assert _fail_flow_at_step_37(monkeypatch, "_taylor_finish") == 37
+    assert len(calls) == 38
 
 
 def test_expm_scaling_branch():
